@@ -16,37 +16,15 @@ The ``mapwalk`` console script (see ``cli``) runs single experiments,
 parameter sweeps and phase-space portraits from the command line.
 """
 
-from .coins import (CoinSpec, dft_coin, harper_coin, baker_coin, coin_matrix,
-                    coin_in_position_basis, twisted_dft, unitarity_defect)
-from .cellmaps import (PhasePoint, classical_rotation_step, classical_baker_step,
-                       classical_harper_step, classical_harper_inverse_step,
-                       rotation_map, baker_map, harper_map, harper_inverse_map)
-from .walk import (WalkConfig, MomentumBlockSet, WalkState, build_dense,
-                   build_momentum_blocks, evolve, amplitude, basis_state,
-                   site_to_momentum, momentum_to_site)
-from .observables import (SiteDistribution, WalkTimeSeries, site_probabilities,
-                          msd, site_entropy, participation_ratio,
-                          run_time_series, trace_site_probabilities)
-from .classical import (CellMap, CellPartition, PhaseEnsemble,
-                        classical_counterpart, multi_map_step,
-                        classical_site_distribution, phase_portrait,
-                        classical_msd_series)
+from . import cellmaps, classical, coins, observables, walk
+from .coins import *  # noqa: F401,F403
+from .cellmaps import *  # noqa: F401,F403
+from .walk import *  # noqa: F401,F403
+from .observables import *  # noqa: F401,F403
+from .classical import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CoinSpec", "dft_coin", "harper_coin", "baker_coin", "coin_matrix",
-    "coin_in_position_basis", "twisted_dft", "unitarity_defect",
-    "PhasePoint", "classical_rotation_step", "classical_baker_step",
-    "classical_harper_step", "classical_harper_inverse_step",
-    "rotation_map", "baker_map", "harper_map", "harper_inverse_map",
-    "WalkConfig", "MomentumBlockSet", "WalkState", "build_dense",
-    "build_momentum_blocks", "evolve", "amplitude", "basis_state",
-    "site_to_momentum", "momentum_to_site",
-    "SiteDistribution", "WalkTimeSeries", "site_probabilities", "msd",
-    "site_entropy", "participation_ratio", "run_time_series",
-    "trace_site_probabilities",
-    "CellMap", "CellPartition", "PhaseEnsemble", "classical_counterpart",
-    "multi_map_step", "classical_site_distribution", "phase_portrait",
-    "classical_msd_series",
-]
+#: Everything each module exports, listed once in that module's ``__all__``.
+__all__ = [*coins.__all__, *cellmaps.__all__, *walk.__all__, *observables.__all__,
+           *classical.__all__]

@@ -2,37 +2,23 @@
 
 These are the classical limits of the quantum coins: a quarter-turn
 rotation (dft), the baker transformation, and the kicked Harper map.
-Scalar versions operate on ``PhasePoint``; the ``*_map`` versions are
-vectorized over numpy arrays and back the ensemble engine.
+Each ``*_map`` takes q and p as arrays or scalars and returns the image
+pair; there are no separate scalar versions.  They back ``classical``.
 
-None of the classical steps takes a boundary-phase argument: the phase
+None of the maps takes a boundary-phase argument: the phase
 acts only on the quantum side, so its absence here is structural.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "PhasePoint",
-    "classical_rotation_step",
-    "classical_baker_step",
-    "classical_harper_step",
-    "classical_harper_inverse_step",
     "rotation_map",
     "baker_map",
     "harper_map",
     "harper_inverse_map",
 ]
-
-
-class PhasePoint(NamedTuple):
-    """A point (q, p) on the unit torus, both coordinates in [0, 1)."""
-
-    q: float
-    p: float
 
 
 def _mod1(x):
@@ -72,27 +58,3 @@ def harper_inverse_map(q, p, g, tau=1.0):
     p_prev = _mod1(p - tau * g * np.sin(2.0 * np.pi * q))
     q_prev = _mod1(q + tau * np.sin(2.0 * np.pi * p_prev))
     return q_prev, p_prev
-
-
-def classical_rotation_step(pt: PhasePoint) -> PhasePoint:
-    """One quarter-turn rotation of a single point; period 4 on the torus."""
-    q, p = rotation_map(pt.q, pt.p)
-    return PhasePoint(float(q), float(p))
-
-
-def classical_baker_step(pt: PhasePoint) -> PhasePoint:
-    """One baker step of a single point."""
-    q, p = baker_map(pt.q, pt.p)
-    return PhasePoint(float(q), float(p))
-
-
-def classical_harper_step(pt: PhasePoint, g: float, tau: float = 1.0) -> PhasePoint:
-    """One kicked-Harper step of a single point."""
-    q, p = harper_map(pt.q, pt.p, g, tau)
-    return PhasePoint(float(q), float(p))
-
-
-def classical_harper_inverse_step(pt: PhasePoint, g: float, tau: float = 1.0) -> PhasePoint:
-    """Inverse kicked-Harper step; exact round trip with the forward step."""
-    q, p = harper_inverse_map(pt.q, pt.p, g, tau)
-    return PhasePoint(float(q), float(p))

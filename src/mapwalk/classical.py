@@ -20,6 +20,7 @@ across workers with per-worker sub-seeds without changing any result.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,8 +28,9 @@ from numpy.typing import NDArray
 
 from .cellmaps import rotation_map, baker_map, harper_map
 from .coins import CoinSpec
-from .observables import (SiteDistribution, WalkTimeSeries, msd, site_entropy,
-                          participation_ratio)
+from .observables import SiteDistribution, WalkTimeSeries, _time_series
+# bound here as well because perfbench traces the statistics in this namespace
+from .observables import msd, site_entropy, participation_ratio  # noqa: F401
 
 __all__ = [
     "CellMap",
@@ -56,9 +58,9 @@ class CellMap:
         if self.kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}; expected one of {MAP_KINDS}")
         if self.g < 0:
-            raise ValueError(f"g must be >= 0, got {self.g}")
+            raise ValueError(f"g: must be >= 0, got {self.g}")
         if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+            raise ValueError(f"tau: must be > 0, got {self.tau}")
 
     def apply(self, q: NDArray[np.float64], p: NDArray[np.float64]):
         if self.kind == "rotation":
@@ -191,6 +193,14 @@ def phase_portrait(cell_map: CellMap, n_trajectories: int, n_steps: int,
     return out.reshape(n_steps * n_trajectories, 2)
 
 
+def _ensemble_distributions(ens: PhaseEnsemble, cell_map: CellMap,
+                            partition: CellPartition) -> Iterator[SiteDistribution]:
+    """Distributions at t = 0, 1, 2, ... of the multi-map walk of ``ens``."""
+    while True:
+        yield classical_site_distribution(ens)
+        ens = multi_map_step(ens, cell_map, partition)
+
+
 def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
                          t_max: int, n_points: int = 100_000, seed: int = 0,
                          grid_side: int | None = None,
@@ -198,28 +208,10 @@ def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
     """Observable time series for the multi-map walk started in cell 0.
 
     The initial ensemble is a seeded uniform fill of cell 0, or an exact
-    midpoint grid when ``grid_side`` is given.  Statistics reuse the same
-    formulas as the quantum series.
+    midpoint grid when ``grid_side`` is given.  The statistics come from
+    the same series loop as the quantum walk.
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
-    if grid_side is not None:
-        ens = PhaseEnsemble.grid_fill(L, grid_side)
-    else:
-        ens = PhaseEnsemble.uniform_fill(L, n_points, seed=seed)
-    times = np.arange(t_max + 1, dtype=np.int64)
-    out_msd = np.empty(t_max + 1)
-    out_ent = np.empty(t_max + 1)
-    out_pr = np.empty(t_max + 1)
-    dists: list[SiteDistribution] | None = [] if keep_distributions else None
-    for t in range(t_max + 1):
-        if t > 0:
-            ens = multi_map_step(ens, cell_map, partition)
-        dist = classical_site_distribution(ens)
-        out_msd[t] = msd(dist)
-        out_ent[t] = site_entropy(dist)
-        out_pr[t] = participation_ratio(dist)
-        if dists is not None:
-            dists.append(dist)
-    return WalkTimeSeries(times=times, msd=out_msd, entropy=out_ent, pr=out_pr,
-                          distributions=dists)
+    ens = (PhaseEnsemble.grid_fill(L, grid_side) if grid_side is not None
+           else PhaseEnsemble.uniform_fill(L, n_points, seed=seed))
+    return _time_series(_ensemble_distributions(ens, cell_map, partition), t_max,
+                        keep_distributions)

@@ -32,54 +32,103 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
-from .coins import CoinSpec, coin_matrix, coin_in_position_basis
+from .coins import COIN_KINDS, CoinSpec, coin_matrix, coin_in_position_basis
 from .walk import WalkConfig
 from .observables import run_time_series, WalkTimeSeries
-from .classical import (CellMap, CellPartition, phase_portrait,
+from .classical import (MAP_KINDS, CellMap, CellPartition, phase_portrait,
                         classical_msd_series)
 
 __all__ = ["main"]
 
 SWEEPABLE = ("M", "g", "phi", "L")
 
+#: The sweepable parameters that each quantum coin, or each classical map
+#: (``--classical``), actually uses; sweeping any other would repeat rows.
+COIN_SWEEPS = {"dft": ("M", "L"), "baker": ("M", "L", "phi"), "harper": ("M", "L", "g", "phi")}
+MAP_SWEEPS = {"rotation": ("L",), "baker": ("L",), "harper": ("L", "g")}
+
 
 class ConfigError(Exception):
     """Invalid configuration; message names the offending field."""
 
 
-@dataclass
-class RunSettings:
-    coin: str = "dft"
-    M: int = 2
-    L: int = 100
-    g: float = 0.0
-    tau: float = 1.0
-    phi: float | None = None
-    t_max: int = 40
-    partition: str = "horizontal"
-    out_format: str = "csv"
-    out: str = "-"
-    seed: int = 0
-    classical: str | None = None
-    n_points: int = 100_000
-    emit_distributions: bool = False
-    sweep: list[tuple[str, list[float]]] = field(default_factory=list)
+@dataclass(frozen=True)
+class Field:
+    """One setting: flag and config key, type, default, help, and the checks
+    no library dataclass owns (the coin, map and walk constructors check the rest)."""
+
+    name: str
+    type: type
+    default: object
+    help: str
+    choices: tuple = ()
+    minimum: int | None = None
+
+    @property
+    def attr(self) -> str:
+        return self.name.replace("-", "_")
 
 
-_INT_KEYS = {"M", "L", "t-max", "seed", "n-points", "n-trajectories", "n-steps"}
-_FLOAT_KEYS = {"g", "tau", "phi"}
-_BOOL_KEYS = {"emit-distributions"}
-_STR_KEYS = {"coin", "partition", "format", "out", "classical", "map"}
-_KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS | {"sweep"}
+_TAU = Field("tau", float, 1.0, "kick period (default 1)")
+_SEED = Field("seed", int, 0, "RNG seed of the classical ensemble or orbits (default 0)",
+              minimum=0)
+_FORMAT = Field("format", str, "csv", "output format (default csv)", ("csv", "json"))
+_OUT = Field("out", str, "-", "output path, '-' for stdout (default)")
+
+#: The settings of ``run`` and ``sweep``, in the order the metadata echoes them.
+RUN_FIELDS = (
+    Field("coin", str, "dft", "quantum coin (default dft)", COIN_KINDS),
+    Field("M", int, 2, "coin dimension (even)"),
+    Field("L", int, 100, "number of lattice sites"),
+    Field("g", float, 0.0, "Harper chaos parameter"),
+    _TAU,
+    Field("phi", float, None, "boundary phase in [0,1); default 0 (baker: 1/2)"),
+    Field("t-max", int, 40, "number of time steps", minimum=1),
+    Field("partition", str, "horizontal", "cell splicing orientation (default horizontal)",
+          ("horizontal", "vertical")),
+    _SEED,
+    Field("classical", str, None, "run the classical multi-map walk instead", MAP_KINDS),
+    Field("emit-distributions", bool, False,
+          "append the full site distribution to every record"),
+    Field("n-points", int, 100_000, "classical ensemble size", minimum=1),
+    Field("sweep", list, (), "sweep a parameter (M, g, phi or L); repeatable"),
+    _FORMAT,
+    _OUT,
+)
+
+#: The settings of ``phase-space``, in the order the metadata echoes them.
+PHASE_SPACE_FIELDS = (
+    Field("map", str, "harper", "classical cell map (default harper)", MAP_KINDS),
+    Field("g", float, 1.0, "Harper chaos parameter (default 1)"),
+    _TAU,
+    Field("n-trajectories", int, 100, "number of orbits (default 100)", minimum=1),
+    Field("n-steps", int, 1000, "points per orbit (default 1000)", minimum=1),
+    _SEED,
+    _FORMAT,
+    _OUT,
+)
+
+
+_BOOLS = {"true": True, "1": True, "false": False, "0": False}
+
+
+def _parse_value(f: Field, text: str):
+    if f.type is bool:
+        return _BOOLS[text.lower()]
+    if f.type is list:
+        return [_parse_sweep_expr(part) for part in text.split()]
+    return f.type(text)
 
 
 def _parse_config_file(path: str) -> dict:
-    """Flat key = value file; '#' starts a comment; keys match flag names."""
+    """Flat key = value file; '#' starts a comment; keys are the flag names."""
+    fields = {f.name: f for f in RUN_FIELDS}
     values: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,28 +144,18 @@ def _parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("_", "-")
         val = val.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in fields:
             raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _BOOL_KEYS:
-                if val.lower() not in ("true", "false", "0", "1"):
-                    raise ValueError(val)
-                values[key] = val.lower() in ("true", "1")
-            elif key == "sweep":
-                values.setdefault("sweep", []).extend(
-                    _parse_sweep_expr(part) for part in val.split())
-            else:
-                values[key] = val
-        except ValueError as exc:
+            value = _parse_value(fields[key], val)
+        except (KeyError, ValueError) as exc:
             raise ConfigError(f"config: line {lineno}: bad value for {key!r}: {val!r}") from exc
+        values[key] = values.get(key, []) + value if fields[key].type is list else value
     return values
 
 
-def _parse_sweep_expr(expr: str) -> tuple[str, list[float]]:
+def _parse_sweep_expr(expr: str) -> tuple[str, list]:
+    """Syntax of NAME=v1,v2,...: values typed as the field, in ascending order."""
     name, sep, vals = expr.partition("=")
     name = name.strip()
     if not sep or name not in SWEEPABLE:
@@ -127,96 +166,81 @@ def _parse_sweep_expr(expr: str) -> tuple[str, list[float]]:
         raise ConfigError(f"sweep: non-numeric value in {expr!r}") from exc
     if not values:
         raise ConfigError(f"sweep: no values given in {expr!r}")
-    for v in values:
-        if name in ("M", "L"):
-            if v != int(v):
-                raise ConfigError(f"sweep: {name} values must be integers, got {v}")
-            if name == "M" and (v < 2 or int(v) % 2):
-                raise ConfigError(f"sweep: M values must be even and >= 2, got {int(v)}")
-            if name == "L" and v < 2:
-                raise ConfigError(f"sweep: L values must be >= 2, got {int(v)}")
-        elif name == "g" and v < 0:
-            raise ConfigError(f"sweep: g values must be >= 0, got {v}")
-        elif name == "phi" and not 0.0 <= v < 1.0:
-            raise ConfigError(f"sweep: phi values must lie in [0, 1), got {v}")
+    if name in ("M", "L"):
+        if not all(v.is_integer() for v in values):
+            raise ConfigError(f"sweep: {name} values must be integers, got {expr!r}")
+        values = [int(v) for v in values]
     return name, sorted(values)
 
 
-def _merge_settings(args: argparse.Namespace) -> RunSettings:
-    s = RunSettings()
-    file_vals = _parse_config_file(args.config) if args.config else {}
-    key_to_attr = {"coin": "coin", "M": "M", "L": "L", "g": "g", "tau": "tau",
-                   "phi": "phi", "t-max": "t_max", "partition": "partition",
-                   "format": "out_format", "out": "out", "seed": "seed",
-                   "classical": "classical", "n-points": "n_points",
-                   "emit-distributions": "emit_distributions", "sweep": "sweep"}
-    for key, val in file_vals.items():
-        setattr(s, key_to_attr[key], val)
-    cli_map = {"coin": args.coin, "M": args.M, "L": args.L, "g": args.g,
-               "tau": args.tau, "phi": args.phi, "t-max": args.t_max,
-               "partition": args.partition, "format": args.format,
-               "out": args.out, "seed": args.seed, "classical": args.classical,
-               "n-points": args.n_points,
-               "emit-distributions": args.emit_distributions}
-    for key, val in cli_map.items():
-        if val is not None:
-            setattr(s, key_to_attr[key], val)
-    if args.sweep:
-        s.sweep = list(s.sweep) + [_parse_sweep_expr(e) for e in args.sweep]
+def _settings(fields: tuple[Field, ...], args: argparse.Namespace,
+              file_vals: dict) -> SimpleNamespace:
+    """Each field from the command line, else the config file, else its default."""
+    s = SimpleNamespace()
+    for f in fields:
+        given = getattr(args, f.attr)
+        if f.type is list:  # sweeps from the file and the command line all apply
+            value = file_vals.get(f.name, []) + [_parse_sweep_expr(e) for e in given or ()]
+        else:
+            value = file_vals.get(f.name, f.default) if given is None else given
+        setattr(s, f.attr, value)
     return s
 
 
-def _validate_settings(s: RunSettings) -> None:
-    if s.coin not in ("dft", "harper", "baker"):
-        raise ConfigError(f"coin: unknown coin {s.coin!r}")
-    if s.M < 2 or s.M % 2:
-        raise ConfigError(f"M: must be even and >= 2, got {s.M}")
-    if s.L < 2:
-        raise ConfigError(f"L: must be >= 2, got {s.L}")
-    if s.g < 0:
-        raise ConfigError(f"g: must be >= 0, got {s.g}")
-    if s.tau <= 0:
-        raise ConfigError(f"tau: must be > 0, got {s.tau}")
-    if s.phi is not None and not 0.0 <= s.phi < 1.0:
-        raise ConfigError(f"phi: must lie in [0, 1), got {s.phi}")
-    if s.t_max < 1:
-        raise ConfigError(f"t-max: must be >= 1, got {s.t_max}")
-    if s.partition not in ("horizontal", "vertical"):
-        raise ConfigError(f"partition: must be horizontal or vertical, got {s.partition!r}")
-    if s.out_format not in ("csv", "json"):
-        raise ConfigError(f"format: must be csv or json, got {s.out_format!r}")
-    if s.classical is not None and s.classical not in ("rotation", "baker", "harper"):
-        raise ConfigError(f"classical: unknown map {s.classical!r}")
-    if s.n_points < 1:
-        raise ConfigError(f"n-points: must be >= 1, got {s.n_points}")
-    if s.emit_distributions and any(name == "L" for name, _ in s.sweep):
+def _check_fields(fields: tuple[Field, ...], s: SimpleNamespace) -> None:
+    for f in fields:
+        value = getattr(s, f.attr)
+        if f.choices and value is not None and value not in f.choices:
+            raise ConfigError(f"{f.name}: must be one of {', '.join(f.choices)}, got {value!r}")
+        if f.minimum is not None and value < f.minimum:
+            raise ConfigError(f"{f.name}: must be >= {f.minimum}, got {value}")
+
+
+def _merge_settings(args: argparse.Namespace) -> SimpleNamespace:
+    file_vals = _parse_config_file(args.config) if args.config else {}
+    return _settings(RUN_FIELDS, args, file_vals)
+
+
+def _validate_settings(s: SimpleNamespace) -> list[tuple[tuple, WalkConfig, CellMap | None]]:
+    """The single validation point of ``run``/``sweep`` settings: the swept
+    values, walk config and (classical) cell map of every sweep combination."""
+    _check_fields(RUN_FIELDS, s)
+    uses = MAP_SWEEPS[s.classical] if s.classical else COIN_SWEEPS[s.coin]
+    names = [name for name, _ in s.sweep]
+    for name, values in s.sweep:
+        if names.count(name) > 1:
+            raise ConfigError(f"sweep: parameter {name!r} swept more than once")
+        if name not in uses:
+            what = f"classical {s.classical} map" if s.classical else f"{s.coin} coin"
+            raise ConfigError(f"sweep: {name} does not apply to the {what}")
+        if len(set(values)) < len(values):
+            raise ConfigError(f"sweep: {name} values repeat")
+    if s.emit_distributions and "L" in names:
         raise ConfigError("sweep: cannot sweep L together with --emit-distributions "
                           "(column count would vary)")
-    seen = set()
-    for name, _ in s.sweep:
-        if name in seen:
-            raise ConfigError(f"sweep: parameter {name!r} swept more than once")
-        seen.add(name)
+    runs = []
+    for combo in product(*(values for _, values in s.sweep)):
+        v = {"M": s.M, "L": s.L, "g": s.g, "phi": s.phi, **dict(zip(names, combo))}
+        try:
+            coin = CoinSpec(s.coin, M=v["M"], g=v["g"], tau=s.tau, phi=v["phi"])
+            config = WalkConfig(L=v["L"], coin=coin)
+            cell_map = CellMap(s.classical, g=v["g"], tau=s.tau) if s.classical else None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        runs.append((combo, config, cell_map))
+    return runs
 
 
-def _single_series(s: RunSettings, overrides: dict) -> WalkTimeSeries:
-    """One run with swept parameters applied on top of the base settings."""
-    M = int(overrides.get("M", s.M))
-    L = int(overrides.get("L", s.L))
-    g = float(overrides.get("g", s.g))
-    phi = overrides.get("phi", s.phi)
-    phi = None if phi is None else float(phi)
-    if s.classical is not None:
-        cmap = CellMap(s.classical, g=g, tau=s.tau)
-        part = CellPartition(orientation=s.partition)
-        return classical_msd_series(cmap, part, L, s.t_max,
-                                    n_points=s.n_points, seed=s.seed,
+def _single_series(s: SimpleNamespace, config: WalkConfig,
+                   cell_map: CellMap | None) -> WalkTimeSeries:
+    """One run of a validated sweep combination."""
+    if cell_map is not None:
+        return classical_msd_series(cell_map, CellPartition(orientation=s.partition), config.L,
+                                    s.t_max, n_points=s.n_points, seed=s.seed,
                                     keep_distributions=s.emit_distributions)
-    spec = CoinSpec(kind=s.coin, M=M, g=g, tau=s.tau, phi=phi)
-    U = coin_matrix(spec)
+    U = coin_matrix(config.coin)
     if s.partition == "vertical":
-        U = coin_in_position_basis(U, spec.resolved_phi)
-    config = WalkConfig(L=L, coin=spec)
+        U = coin_in_position_basis(U, config.coin.resolved_phi)
     return run_time_series(config, s.t_max, keep_distributions=s.emit_distributions, U=U)
 
 
@@ -226,17 +250,16 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _resolved_params(s: RunSettings) -> dict:
-    params = {"coin": s.coin, "M": s.M, "L": s.L, "g": s.g, "tau": s.tau,
-              "phi": "coin-default" if s.phi is None else s.phi,
-              "t_max": s.t_max, "partition": s.partition, "seed": s.seed,
-              "classical": s.classical or "no",
-              "emit_distributions": s.emit_distributions}
-    if s.classical is not None:
-        params["n_points"] = s.n_points
-    if s.sweep:
-        params["sweep"] = " ".join(f"{n}={','.join(_fmt(v) for v in vals)}"
-                                   for n, vals in s.sweep)
+def _resolved_params(s: SimpleNamespace) -> dict:
+    """The settings echoed in the metadata, in table order."""
+    params = {f.attr: getattr(s, f.attr) for f in RUN_FIELDS if f not in (_FORMAT, _OUT)}
+    params.update(phi="coin-default" if s.phi is None else s.phi,
+                  classical=s.classical or "no",
+                  sweep=" ".join(f"{n}={','.join(_fmt(v) for v in vals)}" for n, vals in s.sweep))
+    if s.classical is None:
+        del params["n_points"]
+    if not s.sweep:
+        del params["sweep"]
     return params
 
 
@@ -250,53 +273,31 @@ def _series_rows(series: WalkTimeSeries, prefix: list) -> list[list]:
     return rows
 
 
-def _run_command(s: RunSettings) -> tuple[dict, list[str], list[list]]:
-    _validate_settings(s)
-    sweep_names = [name for name, _ in s.sweep]
-    combos = list(product(*(vals for _, vals in s.sweep))) if s.sweep else [()]
-
-    def one(combo):
-        overrides = dict(zip(sweep_names, combo))
-        return _single_series(s, overrides)
-
-    if len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(one, combos))
+def _run_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list]]:
+    runs = _validate_settings(s)
+    if len(runs) == 1:
+        results = [_single_series(s, *runs[0][1:])]
     else:
-        results = [one(combos[0])]
-
-    header = sweep_names + ["time", "msd", "entropy", "pr"]
+        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
+            results = list(pool.map(lambda run: _single_series(s, *run[1:]), runs))
+    header = [name for name, _ in s.sweep] + ["time", "msd", "entropy", "pr"]
     if s.emit_distributions:
-        L = int(s.L)
-        header += [f"p{l}" for l in range(L)]
+        header += [f"p{l}" for l in range(s.L)]
     rows: list[list] = []
-    for combo, series in zip(combos, results):
-        prefix = [int(v) if name in ("M", "L") else float(v)
-                  for name, v in zip(sweep_names, combo)]
-        rows.extend(_series_rows(series, prefix))
+    for (combo, _, _), series in zip(runs, results):
+        rows.extend(_series_rows(series, list(combo)))
     return _resolved_params(s), header, rows
 
 
-def _phase_space_command(args: argparse.Namespace) -> tuple[dict, list[str], list[list]]:
-    kind = args.map or "harper"
-    g = args.g if args.g is not None else 1.0
-    tau = args.tau if args.tau is not None else 1.0
-    n_traj = args.n_trajectories if args.n_trajectories is not None else 100
-    n_steps = args.n_steps if args.n_steps is not None else 1000
-    seed = args.seed if args.seed is not None else 0
-    if kind not in ("rotation", "baker", "harper"):
-        raise ConfigError(f"map: unknown map {kind!r}")
-    if n_traj < 1:
-        raise ConfigError(f"n-trajectories: must be >= 1, got {n_traj}")
-    if n_steps < 1:
-        raise ConfigError(f"n-steps: must be >= 1, got {n_steps}")
+def _phase_space_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list]]:
+    _check_fields(PHASE_SPACE_FIELDS, s)
     try:
-        cmap = CellMap(kind, g=g, tau=tau)
+        cmap = CellMap(s.map, g=s.g, tau=s.tau)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    pts = phase_portrait(cmap, n_traj, n_steps, seed=seed)
-    params = {"map": kind, "g": g, "tau": tau, "n_trajectories": n_traj,
-              "n_steps": n_steps, "seed": seed}
+    pts = phase_portrait(cmap, s.n_trajectories, s.n_steps, seed=s.seed)
+    params = {f.attr: getattr(s, f.attr) for f in PHASE_SPACE_FIELDS
+              if f not in (_FORMAT, _OUT)}
     rows = [[float(q), float(p)] for q, p in pts]
     return params, ["q", "p"], rows
 
@@ -332,68 +333,46 @@ def _emit(text: str, out: str) -> None:
         raise
 
 
+def _add_flags(parser: argparse.ArgumentParser, fields: tuple[Field, ...]) -> None:
+    for f in fields:
+        flag = f"--{f.name}"
+        if f.type is bool:
+            parser.add_argument(flag, action="store_true", default=None, help=f.help)
+        elif f.type is list:
+            parser.add_argument(flag, action="append", metavar="NAME=V1,V2,...", help=f.help)
+        else:
+            parser.add_argument(flag, type=f.type, choices=f.choices or None, help=f.help)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mapwalk",
         description="Coined quantum walks with quantized-map coins, and their "
                     "classical multi-map counterparts.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_run_flags(p):
+    for command, help_text in (("run", "single walk run"),
+                               ("sweep", "parameter sweep (requires --sweep)")):
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--coin", choices=["dft", "harper", "baker"])
-        p.add_argument("--M", type=int, help="coin dimension (even)")
-        p.add_argument("--L", type=int, help="number of lattice sites")
-        p.add_argument("--g", type=float, help="Harper chaos parameter")
-        p.add_argument("--tau", type=float, help="kick period (default 1)")
-        p.add_argument("--phi", type=float,
-                       help="boundary phase in [0,1); default 0 (baker: 1/2)")
-        p.add_argument("--t-max", type=int, help="number of time steps")
-        p.add_argument("--partition", choices=["horizontal", "vertical"],
-                       help="cell splicing orientation (default horizontal)")
-        p.add_argument("--format", choices=["csv", "json"], help="output format")
-        p.add_argument("--out", help="output path, '-' for stdout (default)")
-        p.add_argument("--seed", type=int, help="RNG seed for classical ensembles")
-        p.add_argument("--classical", choices=["rotation", "baker", "harper"],
-                       help="run the classical multi-map walk instead")
-        p.add_argument("--n-points", type=int, help="classical ensemble size")
-        p.add_argument("--emit-distributions", action="store_true", default=None,
-                       help="append the full site distribution to every record")
-        p.add_argument("--sweep", action="append", metavar="NAME=V1,V2,...",
-                       help="sweep a parameter (M, g, phi or L); repeatable")
-
-    add_run_flags(sub.add_parser("run", help="single walk run"))
-    add_run_flags(sub.add_parser("sweep", help="parameter sweep (requires --sweep)"))
-
-    ps = sub.add_parser("phase-space", help="classical phase-space portrait")
-    ps.add_argument("--map", choices=["rotation", "baker", "harper"])
-    ps.add_argument("--g", type=float, help="Harper chaos parameter (default 1)")
-    ps.add_argument("--tau", type=float, help="kick period (default 1)")
-    ps.add_argument("--n-trajectories", type=int, help="number of orbits (default 100)")
-    ps.add_argument("--n-steps", type=int, help="points per orbit (default 1000)")
-    ps.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    ps.add_argument("--format", choices=["csv", "json"])
-    ps.add_argument("--out", help="output path, '-' for stdout (default)")
+        _add_flags(p, RUN_FIELDS)
+    _add_flags(sub.add_parser("phase-space", help="classical phase-space portrait"),
+               PHASE_SPACE_FIELDS)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "phase-space":
-            params, header, rows = _phase_space_command(args)
-            out_format = args.format or "csv"
-            out = args.out or "-"
+            s = _settings(PHASE_SPACE_FIELDS, args, {})
+            params, header, rows = _phase_space_command(s)
         else:
-            settings = _merge_settings(args)
-            if args.command == "sweep" and not settings.sweep:
+            s = _merge_settings(args)
+            if args.command == "sweep" and not s.sweep:
                 raise ConfigError("sweep: the sweep subcommand needs at least one --sweep")
-            params, header, rows = _run_command(settings)
-            out_format = settings.out_format
-            out = settings.out
-        text = (_render_csv if out_format == "csv" else _render_json)(params, header, rows)
-        _emit(text, out)
+            params, header, rows = _run_command(s)
+        text = (_render_csv if s.format == "csv" else _render_json)(params, header, rows)
+        _emit(text, s.out)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -83,13 +83,13 @@ class CoinSpec:
         if self.kind not in COIN_KINDS:
             raise ValueError(f"unknown coin kind {self.kind!r}; expected one of {COIN_KINDS}")
         if self.M < 2 or self.M % 2 != 0:
-            raise ValueError(f"coin dimension M must be a positive even integer, got {self.M}")
+            raise ValueError(f"M: coin dimension must be a positive even integer, got {self.M}")
         if self.g < 0:
-            raise ValueError(f"chaos parameter g must be >= 0, got {self.g}")
+            raise ValueError(f"g: chaos parameter must be >= 0, got {self.g}")
         if self.tau <= 0:
-            raise ValueError(f"kick period tau must be > 0, got {self.tau}")
+            raise ValueError(f"tau: kick period must be > 0, got {self.tau}")
         if self.phi is not None and not 0.0 <= self.phi < 1.0:
-            raise ValueError(f"boundary phase phi must lie in [0, 1), got {self.phi}")
+            raise ValueError(f"phi: boundary phase must lie in [0, 1), got {self.phi}")
 
     @property
     def resolved_phi(self) -> float:

@@ -18,13 +18,15 @@ for every coin shipped here.  Three summary statistics condense p_l(t):
 ``run_time_series`` produces all three at every time step in a single
 pass over the evolution.  The M coin-state evolutions are batched into
 one stacked matrix product per step; the reduction order is fixed, so
-repeated runs are bit-identical.
+repeated runs are bit-identical.  Classical ensembles share the loop.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 from numpy.typing import NDArray
@@ -130,6 +132,31 @@ def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
     return SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi), time=t)
 
 
+def _time_series(dists: Iterator[SiteDistribution], t_max: int,
+                 keep_distributions: bool) -> WalkTimeSeries:
+    """The one series loop: statistics of the distributions at t = 0..t_max.
+
+    ``dists`` yields p(0), p(1), ...; it is resumed only t_max times."""
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    stats = np.empty((3, t_max + 1))
+    kept: list[SiteDistribution] | None = [] if keep_distributions else None
+    for t, dist in zip(range(t_max + 1), dists):
+        stats[:, t] = msd(dist), site_entropy(dist), participation_ratio(dist)
+        if kept is not None:
+            kept.append(dist)
+    return WalkTimeSeries(times=np.arange(t_max + 1, dtype=np.int64), msd=stats[0],
+                          entropy=stats[1], pr=stats[2], distributions=kept)
+
+
+def _bundle_distributions(blocks: MomentumBlockSet) -> Iterator[SiteDistribution]:
+    """Distributions at t = 0, 1, 2, ... of the block-evolved coin-basis starts."""
+    psi = _initial_bundle(blocks.L, blocks.M)
+    for t in count():
+        yield SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi), time=t)
+        psi = _apply_blocks(blocks.blocks, psi)
+
+
 def run_time_series(config: WalkConfig, t_max: int,
                     keep_distributions: bool = False,
                     U: NDArray[np.complex128] | None = None) -> WalkTimeSeries:
@@ -138,28 +165,10 @@ def run_time_series(config: WalkConfig, t_max: int,
     The coin matrix is built from ``config.coin`` unless an explicit
     ``U`` is supplied (it must match the coin dimension).
     """
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
     if U is None:
         U = coin_matrix(config.coin)
     blocks = build_momentum_blocks(config, U)
-    psi = _initial_bundle(config.L, config.M)
-    times = np.arange(t_max + 1, dtype=np.int64)
-    out_msd = np.empty(t_max + 1)
-    out_ent = np.empty(t_max + 1)
-    out_pr = np.empty(t_max + 1)
-    dists: list[SiteDistribution] | None = [] if keep_distributions else None
-    for t in range(t_max + 1):
-        if t > 0:
-            psi = _apply_blocks(blocks.blocks, psi)
-        dist = SiteDistribution(L=config.L, probs=_bundle_site_probs(psi), time=t)
-        out_msd[t] = msd(dist)
-        out_ent[t] = site_entropy(dist)
-        out_pr[t] = participation_ratio(dist)
-        if dists is not None:
-            dists.append(dist)
-    return WalkTimeSeries(times=times, msd=out_msd, entropy=out_ent, pr=out_pr,
-                          distributions=dists)
+    return _time_series(_bundle_distributions(blocks), t_max, keep_distributions)
 
 
 def trace_site_probabilities(E: NDArray[np.complex128], L: int, M: int,

@@ -2,8 +2,9 @@
 
 The walk acts on the product of an L-site ring and an M-dimensional coin
 space.  One step applies the coin unitary U to the internal state and
-then shifts the lattice site conditionally: coin components in one half
-of the index range hop to the left neighbour, the rest to the right.
+then shifts the lattice site conditionally: coin components 0..M/2-1 hop
+to the left neighbour, M/2..M-1 to the right.  ``WalkConfig`` has exactly
+two fields, the lattice size ``L`` and the ``coin`` (a ``CoinSpec``).
 
 Two equivalent operator representations are built:
 
@@ -37,7 +38,6 @@ __all__ = [
     "WalkConfig",
     "MomentumBlockSet",
     "WalkState",
-    "PARTITIONS",
     "build_dense",
     "build_momentum_blocks",
     "evolve",
@@ -47,32 +47,24 @@ __all__ = [
     "momentum_to_site",
 ]
 
-#: Which half of the coin index range is shifted to the left neighbour.
-PARTITIONS = ("lower-left", "lower-right")
-
 _NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Lattice size, coin choice and shift-partition orientation.
+    """Lattice size ``L`` and coin choice ``coin``; nothing else.
 
-    ``partition="lower-left"`` sends coin indices 0..M/2-1 to the left
-    neighbour and M/2..M-1 to the right; ``"lower-right"`` swaps the two
-    roles.  Only the index-half-to-direction assignment is controlled
-    here; expressing the coin matrix in another cell basis is a property
-    of the coin, not of the walk.
+    Coin indices 0..M/2-1 shift to the left neighbour and M/2..M-1 to the
+    right.  Splitting the cell along the other coordinate is a property of
+    the coin matrix (``coins.coin_in_position_basis``), not of the walk.
     """
 
     L: int
     coin: CoinSpec
-    partition: str = "lower-left"
 
     def __post_init__(self) -> None:
         if self.L < 2:
-            raise ValueError(f"lattice size L must be >= 2, got {self.L}")
-        if self.partition not in PARTITIONS:
-            raise ValueError(f"unknown partition {self.partition!r}; expected one of {PARTITIONS}")
+            raise ValueError(f"L: lattice size must be >= 2, got {self.L}")
 
     @property
     def M(self) -> int:
@@ -80,8 +72,7 @@ class WalkConfig:
 
     def left_rows(self) -> NDArray[np.bool_]:
         """Boolean mask over coin indices: True where the row shifts left."""
-        mask = np.arange(self.M) < self.M // 2
-        return mask if self.partition == "lower-left" else ~mask
+        return np.arange(self.M) < self.M // 2
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,8 @@ import inspect
 import numpy as np
 import pytest
 
-from mapwalk.cellmaps import (PhasePoint, classical_rotation_step,
-                              classical_baker_step, classical_harper_step,
-                              classical_harper_inverse_step, rotation_map,
-                              baker_map, harper_map, harper_inverse_map)
+from mapwalk import cellmaps
+from mapwalk.cellmaps import rotation_map, baker_map, harper_map, harper_inverse_map
 
 
 def wrap_dist(a, b):
@@ -16,27 +14,31 @@ def wrap_dist(a, b):
     return np.abs(((a - b + 0.5) % 1.0) - 0.5)
 
 
+def image(cell_map, q, p, *args):
+    """Image of the single point (q, p) under a vectorized map, as floats."""
+    return tuple(float(x) for x in cell_map(q, p, *args))
+
+
 @pytest.mark.parametrize("g", [0.0, 0.3, 1.0, 3.7])
 def test_harper_fixed_point_at_half_quarter(g):
     # sin(2 pi * 1/4) = 1 shifts q by a full period; sin(2 pi * 1/2) = 0.
     # The residual g * sin(fl(pi)) ~ 1e-16 is unavoidable in floats.
-    pt = classical_harper_step(PhasePoint(0.5, 0.25), g=g, tau=1.0)
-    assert wrap_dist(pt.q, 0.5) < 1e-14
-    assert wrap_dist(pt.p, 0.25) < 1e-14
+    q, p = image(harper_map, 0.5, 0.25, g, 1.0)
+    assert wrap_dist(q, 0.5) < 1e-14
+    assert wrap_dist(p, 0.25) < 1e-14
 
 
 def test_harper_g0_p0_is_fixed():
     for q in (0.0, 0.123, 0.9):
-        assert classical_harper_step(PhasePoint(q, 0.0), g=0.0, tau=1.0) == PhasePoint(q, 0.0)
+        assert image(harper_map, q, 0.0, 0.0, 1.0) == (q, 0.0)
 
 
 def test_harper_step_then_inverse_hand_case():
     # g=0: step keeps p=0 and q unchanged (sin 0 = 0), inverse undoes both legs.
-    pt = PhasePoint(0.3, 0.0)
-    stepped = classical_harper_step(pt, g=0.0, tau=1.0)
-    assert stepped == PhasePoint(0.3, 0.0)
-    back = classical_harper_inverse_step(stepped, g=0.0, tau=1.0)
-    assert back == pt
+    stepped = image(harper_map, 0.3, 0.0, 0.0, 1.0)
+    assert stepped == (0.3, 0.0)
+    back = image(harper_inverse_map, *stepped, 0.0, 1.0)
+    assert back == (0.3, 0.0)
 
 
 @pytest.mark.parametrize("g", [0.01, 0.05, 0.1, 1.0, 2.0])
@@ -50,14 +52,14 @@ def test_harper_inverse_round_trip_1000_points(g):
 
 
 def test_harper_inverse_fixed_point():
-    pt = classical_harper_inverse_step(PhasePoint(0.5, 0.25), g=1.0, tau=1.0)
-    assert wrap_dist(pt.q, 0.5) < 1e-14
-    assert wrap_dist(pt.p, 0.25) < 1e-14
+    q, p = image(harper_inverse_map, 0.5, 0.25, 1.0, 1.0)
+    assert wrap_dist(q, 0.5) < 1e-14
+    assert wrap_dist(p, 0.25) < 1e-14
 
 
 def test_baker_branches():
-    assert classical_baker_step(PhasePoint(0.25, 0.5)) == PhasePoint(0.5, 0.25)
-    assert classical_baker_step(PhasePoint(0.75, 0.0)) == PhasePoint(0.5, 0.5)
+    assert image(baker_map, 0.25, 0.5) == (0.5, 0.25)
+    assert image(baker_map, 0.75, 0.0) == (0.5, 0.5)
 
 
 def test_baker_measure_preservation_monte_carlo():
@@ -69,7 +71,7 @@ def test_baker_measure_preservation_monte_carlo():
 
 
 def test_rotation_quarter_turn():
-    assert classical_rotation_step(PhasePoint(0.25, 0.25)) == PhasePoint(0.75, 0.25)
+    assert image(rotation_map, 0.25, 0.25) == (0.75, 0.25)
 
 
 def test_rotation_period_four_exact():
@@ -85,7 +87,7 @@ def test_rotation_period_four_exact():
 
 
 def test_rotation_origin_wraps_to_origin():
-    assert classical_rotation_step(PhasePoint(0.0, 0.0)) == PhasePoint(0.0, 0.0)
+    assert image(rotation_map, 0.0, 0.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("g", [0.05, 1.0, 2.0])
@@ -113,10 +115,9 @@ def test_harper_jacobian_determinant_is_one(g):
 
 def test_classical_steps_have_no_phase_argument():
     # The boundary phase is quantum-only; its absence here is structural.
-    for fn in (classical_rotation_step, classical_baker_step,
-               classical_harper_step, classical_harper_inverse_step,
-               rotation_map, baker_map, harper_map, harper_inverse_map):
-        assert "phi" not in inspect.signature(fn).parameters
+    assert cellmaps.__all__
+    for name in cellmaps.__all__:
+        assert "phi" not in inspect.signature(getattr(cellmaps, name)).parameters, name
 
 
 def test_results_stay_on_torus():

@@ -211,7 +211,8 @@ def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
     midpoint grid when ``grid_side`` is given.  The statistics come from
     the same series loop as the quantum walk.
     """
-    ens = (PhaseEnsemble.grid_fill(L, grid_side) if grid_side is not None
-           else PhaseEnsemble.uniform_fill(L, n_points, seed=seed))
-    return _time_series(_ensemble_distributions(ens, cell_map, partition), t_max,
-                        keep_distributions)
+    # the generator holds the only reference to each ensemble, freeing it once stepped
+    dists = _ensemble_distributions(
+        PhaseEnsemble.grid_fill(L, grid_side) if grid_side is not None
+        else PhaseEnsemble.uniform_fill(L, n_points, seed=seed), cell_map, partition)
+    return _time_series(dists, t_max, keep_distributions)

@@ -15,8 +15,8 @@ phase-space
     Iterate seeded trajectories of a classical cell map and emit the
     visited (q, p) pairs, one record per point.
 
-Configuration is a flat ``key = value`` text file (``--config``) with
-command-line flags taking precedence.  Output is CSV (default) or JSON
+Configuration is a flat ``key = value`` file (``--config``) keyed by the
+flag names, command-line flags taking precedence.  Output is CSV or JSON
 with the resolved parameter set echoed in the metadata; numbers carry
 full double precision so downstream comparisons stay exact.  Exit codes:
 0 success, 2 configuration error, 1 runtime error.  Output files are
@@ -76,8 +76,7 @@ class Field:
 
 
 _TAU = Field("tau", float, 1.0, "kick period (default 1)")
-_SEED = Field("seed", int, 0, "RNG seed of the classical ensemble or orbits (default 0)",
-              minimum=0)
+_SEED = Field("seed", int, 0, "RNG seed of classical ensembles and orbits", minimum=0)
 _FORMAT = Field("format", str, "csv", "output format (default csv)", ("csv", "json"))
 _OUT = Field("out", str, "-", "output path, '-' for stdout (default)")
 
@@ -94,8 +93,7 @@ RUN_FIELDS = (
           ("horizontal", "vertical")),
     _SEED,
     Field("classical", str, None, "run the classical multi-map walk instead", MAP_KINDS),
-    Field("emit-distributions", bool, False,
-          "append the full site distribution to every record"),
+    Field("emit-distributions", bool, False, "append the site distribution to each record"),
     Field("n-points", int, 100_000, "classical ensemble size", minimum=1),
     Field("sweep", list, (), "sweep a parameter (M, g, phi or L); repeatable"),
     _FORMAT,

@@ -98,7 +98,8 @@ def site_entropy(dist: SiteDistribution) -> float:
     """Shannon entropy of the distribution in base L, in [0, 1]."""
     p = dist.probs
     mask = p > _ENTROPY_FLOOR
-    return float(-np.sum(p[mask] * np.log(p[mask])) / math.log(dist.L))
+    # adding +0.0 turns the -0.0 of a delta distribution into a canonical 0
+    return float(-np.sum(p[mask] * np.log(p[mask])) / math.log(dist.L)) + 0.0
 
 
 def participation_ratio(dist: SiteDistribution) -> float:

@@ -232,3 +232,82 @@ def test_vertical_partition_accepted_and_close_to_horizontal(capsys):
     assert not np.array_equal(msd_h, msd_v)
     assert msd_v[10] < 4 * msd_h[10] + 1.0
     assert msd_h[10] < 4 * msd_v[10] + 1.0
+
+
+@pytest.mark.parametrize("line", ["map = harper", "n-trajectories = 5", "n-steps = 5",
+                                  "config = other.cfg"])
+def test_config_key_of_no_run_field_exits_2(tmp_path, capsys, line):
+    # only the flag names of run/sweep are config keys
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert repr(line.split(" = ")[0]) in err
+
+
+def test_config_value_outside_choices_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text("coin = hadamard\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert "coin:" in err
+
+
+def test_sweep_repeated_values_exit_2(capsys):
+    for sweep in ("M=2,2", "L=10,10.0", "phi=0.2,0,0.2"):
+        code, out, err = run_cli(capsys, "sweep", "--coin", "baker", "--L", "10",
+                                 "--t-max", "2", "--sweep", sweep)
+        assert code == 2, sweep
+        assert out == ""
+        assert f"sweep: {sweep[0]}" in err
+
+
+@pytest.mark.parametrize("coin, sweep", [("dft", "phi=0,0.3"), ("dft", "g=0,1"),
+                                         ("baker", "g=0,1")])
+def test_sweep_of_parameter_the_coin_ignores_exits_2(capsys, coin, sweep):
+    code, out, err = run_cli(capsys, "sweep", "--coin", coin, "--L", "10", "--t-max", "2",
+                             "--sweep", sweep)
+    assert code == 2
+    assert out == ""
+    assert f"sweep: {sweep.split('=')[0]} does not apply" in err
+
+
+@pytest.mark.parametrize("kind, sweeps, name", [
+    ("baker", ["M=2,4", "phi=0,0.3"], "M"),
+    ("rotation", ["phi=0,0.3"], "phi"),
+    ("rotation", ["g=0,1"], "g"),
+    ("harper", ["M=2,4"], "M"),
+])
+def test_classical_sweep_of_parameter_the_map_ignores_exits_2(capsys, kind, sweeps, name):
+    argv = ["sweep", "--classical", kind, "--L", "10", "--t-max", "2", "--n-points", "50"]
+    for sweep in sweeps:
+        argv += ["--sweep", sweep]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"sweep: {name} does not apply" in err
+
+
+def test_applicable_sweeps_still_run(capsys):
+    for argv in (["--coin", "baker", "--sweep", "phi=0,0.3"],
+                 ["--classical", "harper", "--n-points", "50", "--sweep", "g=0,1"],
+                 ["--classical", "rotation", "--n-points", "50", "--sweep", "L=10,12"]):
+        code, out, _ = run_cli(capsys, "sweep", "--L", "10", "--t-max", "2", *argv)
+        assert code == 0, argv
+        assert len(parse_csv(out)[1]) == 2 * 3
+
+
+@pytest.mark.parametrize("argv", [["run"], ["run", "--classical", "baker"],
+                                  ["sweep", "--sweep", "M=2,4"], ["phase-space"]])
+def test_negative_seed_exits_2_naming_seed(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "seed:" in err
+
+
+def test_classical_lattice_size_checked(capsys):
+    code, _, err = run_cli(capsys, "run", "--classical", "rotation", "--L", "1")
+    assert code == 2
+    assert "L:" in err

@@ -112,6 +112,13 @@ def test_entropy_delta_is_zero():
     assert site_entropy(delta(7)) == 0.0
 
 
+def test_entropy_zero_is_positive_zero():
+    # a canonical +0.0, so CSV and JSON print 0 rather than -0
+    assert not np.signbit(site_entropy(delta(7)))
+    series = run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), 2)
+    assert not np.any(np.signbit(series.entropy))
+
+
 def test_entropy_uniform_is_one():
     assert abs(site_entropy(dist(np.full(8, 0.125))) - 1.0) < 1e-14
 

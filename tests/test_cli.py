@@ -174,6 +174,10 @@ def test_bad_sweep_value_exits_2(capsys):
     code, _, err = run_cli(capsys, "run", "--sweep", "q=1,2")
     assert code == 2
     assert "sweep" in err
+    for sweep in ("M=2,inf", "L=10,nan"):
+        code, _, err = run_cli(capsys, "run", "--sweep", sweep)
+        assert code == 2
+        assert f"sweep: {sweep[0]}" in err
 
 
 def test_sweep_subcommand_requires_sweep(capsys):

@@ -7,9 +7,9 @@ run
     and emit one record per time step with columns time, msd, entropy,
     pr, plus the full site distribution with ``--emit-distributions``.
 sweep
-    Same as ``run`` with at least one ``--sweep NAME=v1,v2,...`` over
-    M, g, phi or L; records carry the swept values as leading columns
-    and are ordered by sweep value, then time.  Runs execute
+    Same as ``run`` with at least one ``--sweep NAME=v1,v2,...`` over a
+    parameter the coin or map uses; records carry the swept values as
+    leading columns, ordered by sweep value, then time.  Runs execute
     concurrently; output assembly is serialized and deterministic.
 phase-space
     Iterate seeded trajectories of a classical cell map and emit the
@@ -46,12 +46,11 @@ from .classical import (MAP_KINDS, CellMap, CellPartition, phase_portrait,
 
 __all__ = ["main"]
 
-SWEEPABLE = ("M", "g", "phi", "L")
-
-#: The sweepable parameters that each quantum coin, or each classical map
-#: (``--classical``), actually uses; sweeping any other would repeat rows.
+#: The sweepable parameters that each quantum coin, or each classical map (``--classical``),
+#: uses; sweeping any other repeats rows.  The vertical partition adds ``phi`` to every coin.
 COIN_SWEEPS = {"dft": ("M", "L"), "baker": ("M", "L", "phi"), "harper": ("M", "L", "g", "phi")}
 MAP_SWEEPS = {"rotation": ("L",), "baker": ("L",), "harper": ("L", "g")}
+SWEEPABLE = tuple(dict.fromkeys(sum((*COIN_SWEEPS.values(), *MAP_SWEEPS.values()), ())))
 
 
 class ConfigError(Exception):
@@ -95,7 +94,7 @@ RUN_FIELDS = (
     Field("classical", str, None, "run the classical multi-map walk instead", MAP_KINDS),
     Field("emit-distributions", bool, False, "append the site distribution to each record"),
     Field("n-points", int, 100_000, "classical ensemble size", minimum=1),
-    Field("sweep", list, (), "sweep a parameter (M, g, phi or L); repeatable"),
+    Field("sweep", list, (), f"sweep a parameter ({', '.join(SWEEPABLE)}); repeatable"),
     _FORMAT,
     _OUT,
 )
@@ -203,7 +202,8 @@ def _validate_settings(s: SimpleNamespace) -> list[tuple[tuple, WalkConfig, Cell
     """The single validation point of ``run``/``sweep`` settings: the swept
     values, walk config and (classical) cell map of every sweep combination."""
     _check_fields(RUN_FIELDS, s)
-    uses = MAP_SWEEPS[s.classical] if s.classical else COIN_SWEEPS[s.coin]
+    uses = (MAP_SWEEPS[s.classical] if s.classical else
+            COIN_SWEEPS[s.coin] + ("phi",) * (s.partition == "vertical"))
     names = [name for name, _ in s.sweep]
     for name, values in s.sweep:
         if names.count(name) > 1:
@@ -294,8 +294,7 @@ def _phase_space_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     pts = phase_portrait(cmap, s.n_trajectories, s.n_steps, seed=s.seed)
-    params = {f.attr: getattr(s, f.attr) for f in PHASE_SPACE_FIELDS
-              if f not in (_FORMAT, _OUT)}
+    params = {f.attr: getattr(s, f.attr) for f in PHASE_SPACE_FIELDS if f not in (_FORMAT, _OUT)}
     rows = [[float(q), float(p)] for q, p in pts]
     return params, ["q", "p"], rows
 

@@ -277,6 +277,17 @@ def test_sweep_of_parameter_the_coin_ignores_exits_2(capsys, coin, sweep):
     assert f"sweep: {sweep.split('=')[0]} does not apply" in err
 
 
+def test_phi_sweep_applies_to_dft_under_vertical_partition(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--coin", "dft", "--partition", "vertical",
+                           "--L", "10", "--t-max", "3", "--sweep", "phi=0,0.3")
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert len(rows) == 2 * 4
+    msd = {phi: [float(r[2]) for r in rows if float(r[0]) == phi] for phi in (0.0, 0.3)}
+    assert len(msd[0.0]) == len(msd[0.3]) == 4
+    assert abs(msd[0.0][3] - msd[0.3][3]) > 0.5  # phi rotates the coin: 3 vs 1.24
+
+
 @pytest.mark.parametrize("kind, sweeps, name", [
     ("baker", ["M=2,4", "phi=0,0.3"], "M"),
     ("rotation", ["phi=0,0.3"], "phi"),

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cellmaps import rotation_map, baker_map, harper_map
-from .coins import CoinSpec
+from .coins import CoinSpec, _check_kick
 from .observables import SiteDistribution, WalkTimeSeries, _time_series
 # bound here as well because perfbench traces the statistics in this namespace
 from .observables import msd, site_entropy, participation_ratio  # noqa: F401
@@ -57,10 +57,7 @@ class CellMap:
     def __post_init__(self) -> None:
         if self.kind not in MAP_KINDS:
             raise ValueError(f"unknown map kind {self.kind!r}; expected one of {MAP_KINDS}")
-        if self.g < 0:
-            raise ValueError(f"g: must be >= 0, got {self.g}")
-        if self.tau <= 0:
-            raise ValueError(f"tau: must be > 0, got {self.tau}")
+        _check_kick(self.g, self.tau)
 
     def apply(self, q: NDArray[np.float64], p: NDArray[np.float64]):
         if self.kind == "rotation":
@@ -122,10 +119,11 @@ class PhaseEnsemble:
             raise ValueError("ensemble must contain at least one point")
         if self.L < 2:
             raise ValueError(f"lattice size L must be >= 2, got {self.L}")
-        if not (np.all((self.q >= 0.0) & (self.q < 1.0))
-                and np.all((self.p >= 0.0) & (self.p < 1.0))):
+        # min/max reductions make no mask arrays; a NaN fails every comparison
+        if not (0.0 <= self.q.min() and self.q.max() < 1.0
+                and 0.0 <= self.p.min() and self.p.max() < 1.0):
             raise ValueError("q and p must lie on the unit torus [0, 1)")
-        if not np.all((self.cells >= 0) & (self.cells < self.L)):
+        if not (0 <= self.cells.min() and self.cells.max() < self.L):
             raise ValueError("cell indices must lie in 0..L-1")
 
     def __len__(self) -> int:
@@ -156,11 +154,19 @@ class PhaseEnsemble:
 
 def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
                    partition: CellPartition = CellPartition()) -> PhaseEnsemble:
-    """One multi-map step: intra-cell dynamics, then the half-cell shift."""
+    """One multi-map step: intra-cell dynamics, then the half-cell shift.
+
+    Returns a new ensemble; ``ens`` is left as it was.
+    """
     q, p = cell_map.apply(ens.q, ens.p)
     coord = p if partition.orientation == "horizontal" else q
-    shift = np.where(coord >= partition.threshold, -1, 1)
-    cells = (ens.cells + shift) % ens.L
+    # look up cell + 1 (lower half) or cell - 1 (upper half) in [right | left] neighbours,
+    # which wraps the ring without an integer modulo
+    sites = np.arange(ens.L)
+    neighbours = np.concatenate((np.roll(sites, -1), np.roll(sites, 1)))
+    index = np.multiply(coord >= partition.threshold, ens.L)
+    index += ens.cells
+    cells = neighbours[index]
     return replace(ens, cells=cells, q=np.asarray(q), p=np.asarray(p),
                    time=ens.time + 1)
 

@@ -22,6 +22,7 @@ across concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +62,11 @@ class CoinSpec:
         Coin Hilbert-space dimension.  Must be even (the walk splits the
         coin index range into two equal halves).
     g : float
-        Kick strength of the Harper coin (chaos parameter), >= 0.
-        Ignored by the other coins.
+        Kick strength of the Harper coin (chaos parameter), finite and
+        >= 0.  Ignored by the other coins.
     tau : float
-        Kick period of the Harper coin, > 0.  Defaults to 1, which fixes
-        the time scale.
+        Kick period of the Harper coin, finite and > 0, with tau*g
+        finite too.  Defaults to 1, which fixes the time scale.
     phi : float or None
         Boundary phase in [0, 1) applied to both position and momentum
         coin states; breaks time-reversal symmetry when nonzero (Harper)
@@ -84,10 +85,7 @@ class CoinSpec:
             raise ValueError(f"unknown coin kind {self.kind!r}; expected one of {COIN_KINDS}")
         if self.M < 2 or self.M % 2 != 0:
             raise ValueError(f"M: coin dimension must be a positive even integer, got {self.M}")
-        if self.g < 0:
-            raise ValueError(f"g: chaos parameter must be >= 0, got {self.g}")
-        if self.tau <= 0:
-            raise ValueError(f"tau: kick period must be > 0, got {self.tau}")
+        _check_kick(self.g, self.tau)
         if self.phi is not None and not 0.0 <= self.phi < 1.0:
             raise ValueError(f"phi: boundary phase must lie in [0, 1), got {self.phi}")
 
@@ -95,6 +93,17 @@ class CoinSpec:
     def resolved_phi(self) -> float:
         """Boundary phase with the per-coin convention filled in."""
         return _DEFAULT_PHI[self.kind] if self.phi is None else self.phi
+
+
+def _check_kick(g: float, tau: float) -> None:
+    """Harper parameters shared by the coin and the classical map: finite g >= 0,
+    finite tau > 0, and a finite kick tau*g; the error names the field."""
+    if not 0.0 <= g < math.inf:
+        raise ValueError(f"g: chaos parameter must be finite and >= 0, got {g}")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau: kick period must be finite and > 0, got {tau}")
+    if not math.isfinite(tau * g):
+        raise ValueError(f"tau*g: kick strength must be finite, got tau={tau}, g={g}")
 
 
 def unitarity_defect(U: NDArray[np.complex128]) -> float:
@@ -105,7 +114,8 @@ def unitarity_defect(U: NDArray[np.complex128]) -> float:
 
 def _finalize(U: NDArray[np.complex128]) -> NDArray[np.complex128]:
     defect = unitarity_defect(U)
-    assert defect < UNITARITY_TOL, f"coin matrix not unitary (defect {defect:.2e})"
+    if not defect < UNITARITY_TOL:
+        raise ValueError(f"coin matrix not unitary (defect {defect:.2e})")
     U.setflags(write=False)
     return U
 

@@ -176,7 +176,8 @@ def build_dense(config: WalkConfig, U: NDArray[np.complex128]) -> NDArray[np.com
         E[dst_left:dst_left + M, col:col + M][left] = U[left]
         E[dst_right:dst_right + M, col:col + M][~left] = U[~left]
     defect = unitarity_defect(E)
-    assert defect < UNITARITY_TOL, f"walk operator not unitary (defect {defect:.2e})"
+    if not defect < UNITARITY_TOL:
+        raise ValueError(f"walk operator not unitary (defect {defect:.2e})")
     E.setflags(write=False)
     return E
 

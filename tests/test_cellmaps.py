@@ -1,12 +1,19 @@
 """Tests for the classical single-cell torus maps."""
 
 import inspect
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mapwalk import cellmaps
 from mapwalk.cellmaps import rotation_map, baker_map, harper_map, harper_inverse_map
+
+#: Values where x % 1.0 rounds, folds or keeps a sign: zeros, tiny negatives, integers, 1 - ulp.
+EDGE = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, -1e-17, 1 - 2**-53, 0.25,
+                 0.5, 0.75, 1.0, 2.0, -1.0, -3.5, 1e6 + 0.3])
 
 
 def wrap_dist(a, b):
@@ -127,3 +134,116 @@ def test_results_stay_on_torus():
         q, p = harper_map(q, p, 2.0, 1.0)
         assert np.all((0.0 <= q) & (q < 1.0))
         assert np.all((0.0 <= p) & (p < 1.0))
+
+
+def reference_mod1(x):
+    """The reduction the in-place kernel must reproduce: x % 1.0, then 1.0 folded to 0."""
+    r = x % 1.0
+    return np.where(r == 1.0, 0.0, r)
+
+
+def reference_harper(q, p, g, tau):
+    q_next = reference_mod1(q - tau * np.sin(2.0 * np.pi * p))
+    return q_next, reference_mod1(p + tau * g * np.sin(2.0 * np.pi * q_next))
+
+
+def reference_harper_inverse(q, p, g, tau):
+    p_prev = reference_mod1(p - tau * g * np.sin(2.0 * np.pi * q))
+    return reference_mod1(q + tau * np.sin(2.0 * np.pi * p_prev)), p_prev
+
+
+def assert_bitwise(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert type(x) is type(y)
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()  # tells -0.0 from 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=st.floats(0.0, 50.0), tau=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_harper_maps_bitwise_equal_reference(g, tau, seed):
+    rng = np.random.default_rng(seed)
+    q, p = rng.random(300), rng.random(300)
+    assert_bitwise(harper_map(q, p, g, tau), reference_harper(q, p, g, tau))
+    assert_bitwise(harper_inverse_map(q, p, g, tau), reference_harper_inverse(q, p, g, tau))
+
+
+@pytest.mark.parametrize("g, tau", [(0.0, 1.0), (1.0, 1.0), (2.3, 0.7), (17.0, 3.0)])
+def test_harper_maps_bitwise_on_edge_values(g, tau):
+    q, p = (x.ravel() for x in np.meshgrid(EDGE, EDGE))
+    assert_bitwise(harper_map(q, p, g, tau), reference_harper(q, p, g, tau))
+    assert_bitwise(harper_inverse_map(q, p, g, tau), reference_harper_inverse(q, p, g, tau))
+    # the 2-D grid itself, and a scalar against an array, take the n-d path
+    qq, pp = np.meshgrid(EDGE, EDGE)
+    assert_bitwise(harper_map(qq, pp, g, tau), reference_harper(qq, pp, g, tau))
+    assert_bitwise(harper_map(0.3, EDGE, g, tau), reference_harper(0.3, EDGE, g, tau))
+
+
+@pytest.mark.parametrize("q, p", [(0.3, 0.0), (0.5, 0.25), (-1e-17, 0.0), (-0.0, 0.5), (2, 1)])
+def test_harper_maps_bitwise_on_scalars(q, p):
+    assert_bitwise(harper_map(q, p, 1.7, 1.0), reference_harper(q, p, 1.7, 1.0))
+    assert_bitwise(harper_inverse_map(q, p, 1.7, 1.0), reference_harper_inverse(q, p, 1.7, 1.0))
+
+
+def test_tiny_negative_folds_to_positive_zero():
+    q, p = harper_map(np.array([-1e-17]), np.array([0.0]), 0.0, 1.0)
+    assert q[0] == 0.0 and not np.signbit(q[0])
+    assert p[0] == 0.0 and not np.signbit(p[0])
+
+
+def test_chained_steps_bitwise_equal_reference():
+    rng = np.random.default_rng(8)
+    q, p = rng.random(5000), rng.random(5000)
+    want = (q, p)
+    for _ in range(15):
+        q, p = harper_map(q, p, 2.1, 1.0)
+        want = reference_harper(*want, 2.1, 1.0)
+    assert_bitwise((q, p), want)
+
+
+def test_chunked_equals_unchunked(monkeypatch):
+    # 2**17 + 3 points cut into 1, 2, 3 and 5 chunks: uneven chunks and uneven blocks
+    rng = np.random.default_rng(17)
+    n = 2**17 + 3
+    q, p = rng.random(n), rng.random(n)
+    want = reference_harper(q, p, 2.3, 1.0)
+    want_inverse = reference_harper_inverse(q, p, 2.3, 1.0)
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(cellmaps, "_usable_cpus", lambda cpus=cpus: cpus)
+        assert_bitwise(harper_map(q, p, 2.3, 1.0), want)
+        assert_bitwise(harper_inverse_map(q, p, 2.3, 1.0), want_inverse)
+    assert cellmaps._pool is not None  # the chunks did run on the thread pool
+
+
+@pytest.mark.parametrize("state, raises", [("raise", FloatingPointError), ("ignore", None)])
+def test_chunks_follow_the_callers_errstate(monkeypatch, state, raises):
+    # sin(inf) is invalid; the inf sits in the last chunk, which a pool thread computes
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
+    q, p = np.zeros(cellmaps.CHUNK_POINTS), np.zeros(cellmaps.CHUNK_POINTS)
+    p[-1] = np.inf
+    with np.errstate(invalid=state):
+        if raises:
+            with pytest.raises(raises):
+                harper_map(q, p, 1.0, 1.0)
+        else:
+            assert np.isnan(harper_map(q, p, 1.0, 1.0)[0][-1])
+
+
+def _map_in_child():
+    q = np.random.default_rng(1).random(cellmaps.CHUNK_POINTS)
+    harper_map(q, q, 2.0, 1.0)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_chunked_map_runs_in_a_forked_child(monkeypatch):
+    # the child inherits the started pool object but not its threads
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
+    _map_in_child()
+    assert cellmaps._pool is not None
+    child = multiprocessing.get_context("fork").Process(target=_map_in_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+    assert child.exitcode == 0

@@ -2,10 +2,12 @@
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
 
+from mapwalk.cellmaps import CHUNK_POINTS
 from mapwalk.coins import CoinSpec
 from mapwalk.classical import (CellMap, CellPartition, PhaseEnsemble,
                                classical_counterpart, multi_map_step,
@@ -200,3 +202,37 @@ def test_validation_errors():
         phase_portrait(CellMap("baker"), 0, 10)
     with pytest.raises(ValueError):
         classical_msd_series(CellMap("baker"), CellPartition(), L=10, t_max=0)
+
+
+@pytest.mark.parametrize("g, tau, field", [(math.nan, 1.0, "g:"), (math.inf, 1.0, "g:"),
+                                           (1.0, math.nan, "tau:"), (1.0, math.inf, "tau:"),
+                                           (1e200, 1e200, "tau*g:")])
+def test_non_finite_harper_parameters_rejected(g, tau, field):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}"):
+        CellMap("harper", g=g, tau=tau)
+
+
+@pytest.mark.parametrize("cells, q, p", [([0], [math.nan], [0.5]), ([0], [0.5], [math.nan]),
+                                         ([0], [1.0], [0.5]), ([0], [0.5], [-0.0 - 1e-300]),
+                                         ([4], [0.5], [0.5]), ([-1], [0.5], [0.5])])
+def test_ensemble_outside_torus_or_ring_rejected(cells, q, p):
+    with pytest.raises(ValueError):
+        PhaseEnsemble(cells=np.array(cells), q=np.array(q), p=np.array(p), L=4)
+
+
+@pytest.mark.parametrize("cell_map", [CellMap("harper", g=2.0), CellMap("baker"),
+                                      CellMap("rotation")])
+@pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
+def test_multi_map_step_leaves_input_unchanged(cell_map, orientation):
+    ens = PhaseEnsemble.uniform_fill(6, CHUNK_POINTS + 5, seed=4)
+    ens = multi_map_step(ens, CellMap("baker"))  # spread over the ring, both wraps occur
+    before = [a.copy() for a in (ens.cells, ens.q, ens.p)]
+    stepped = multi_map_step(ens, cell_map, CellPartition(orientation))
+    for a, b in zip((ens.cells, ens.q, ens.p), before):
+        assert np.array_equal(a, b)
+    assert (ens.time, stepped.time) == (1, 2)
+    # the shift equals the modular rule it replaces, wraps on both ends included
+    q, p = cell_map.apply(ens.q, ens.p)
+    coord = p if orientation == "horizontal" else q
+    assert np.array_equal(stepped.cells, (ens.cells + np.where(coord >= 0.5, -1, 1)) % 6)
+    assert stepped.cells.dtype == np.int64

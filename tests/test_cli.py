@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from mapwalk import cellmaps, coins
 from mapwalk.cli import main
 
 
@@ -326,3 +327,48 @@ def test_classical_lattice_size_checked(capsys):
     code, _, err = run_cli(capsys, "run", "--classical", "rotation", "--L", "1")
     assert code == 2
     assert "L:" in err
+
+
+_SMALL_RUN = ["--M", "4", "--L", "10", "--t-max", "2"]
+_SMALL_PORTRAIT = ["--n-trajectories", "2", "--n-steps", "3"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run", "--coin", "harper", *_SMALL_RUN, "--g", "nan"], "g"),
+    (["run", "--coin", "harper", *_SMALL_RUN, "--tau", "inf"], "tau"),
+    (["run", "--coin", "harper", *_SMALL_RUN, "--g", "1e200", "--tau", "1e200"], "tau*g"),
+    (["run", "--classical", "harper", *_SMALL_RUN, "--n-points", "10", "--g", "nan"], "g"),
+    (["sweep", "--coin", "harper", *_SMALL_RUN, "--sweep", "g=1,inf"], "g"),
+    (["phase-space", "--map", "harper", *_SMALL_PORTRAIT, "--g", "nan"], "g"),
+    (["phase-space", "--map", "harper", *_SMALL_PORTRAIT, "--tau", "inf"], "tau"),
+    (["phase-space", "--map", "harper", *_SMALL_PORTRAIT, "--g", "1e200", "--tau", "1e200"],
+     "tau*g"),
+])
+def test_non_finite_harper_parameter_exits_2_naming_it(capsys, argv, field):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {field}:")
+
+
+def test_non_unitary_coin_is_a_runtime_error(capsys, monkeypatch):
+    monkeypatch.setattr(coins, "_harper_matrix", lambda *args, **kwargs: np.ones((4, 4), complex))
+    code, out, err = run_cli(capsys, "run", "--coin", "harper", *_SMALL_RUN)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("runtime error: coin matrix not unitary")
+
+
+def test_classical_sweep_above_chunk_size_matches_single_runs(capsys, monkeypatch):
+    # the sweep pool and harper_map's chunk pool run at the same time
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
+    argv = ["--classical", "harper", "--L", "20", "--t-max", "4", "--emit-distributions",
+            "--n-points", str(cellmaps.CHUNK_POINTS + 1), "--seed", "3"]
+    code, out, _ = run_cli(capsys, "sweep", *argv, "--sweep", "g=1.5,2.5")
+    assert code == 0
+    want = []
+    for g in ("1.5", "2.5"):
+        code, single, _ = run_cli(capsys, "run", *argv, "--g", g)
+        assert code == 0
+        want += [f"{g},{line}" for line in single.splitlines()[2:]]
+    assert out.splitlines()[2:] == want

@@ -1,11 +1,19 @@
 """Tests for the quantum coin builders."""
 
+import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mapwalk
 from mapwalk.coins import (CoinSpec, dft_coin, harper_coin, baker_coin,
                            coin_matrix, coin_in_position_basis, twisted_dft,
-                           unitarity_defect, _harper_matrix)
+                           unitarity_defect, _harper_matrix, _finalize)
 
 TOL = 1e-10
 
@@ -164,3 +172,39 @@ def test_coin_matrices_are_read_only():
     U = dft_coin(4)
     with pytest.raises(ValueError):
         U[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("g, tau, field", [(math.nan, 1.0, "g:"), (math.inf, 1.0, "g:"),
+                                           (1.0, math.nan, "tau:"), (1.0, math.inf, "tau:"),
+                                           (1e200, 1e200, "tau*g:")])
+def test_non_finite_harper_parameters_rejected(g, tau, field):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}"):
+        CoinSpec("harper", 4, g=g, tau=tau)
+
+
+def test_non_unitary_coin_raises_value_error():
+    with pytest.raises(ValueError, match="coin matrix not unitary"):
+        _finalize(np.ones((2, 2), dtype=np.complex128))
+    with pytest.raises(ValueError, match="coin matrix not unitary"):
+        _finalize(np.full((2, 2), np.nan, dtype=np.complex128))
+
+
+def test_unitarity_checks_survive_python_O():
+    code = """
+import numpy as np
+from mapwalk.coins import CoinSpec, _finalize
+from mapwalk.walk import WalkConfig, build_dense
+assert not __debug__
+bad = np.ones((2, 2), dtype=np.complex128)
+for name, check in (("coin", lambda: _finalize(bad)),
+                    ("walk", lambda: build_dense(WalkConfig(L=4, coin=CoinSpec("dft", 2)), bad))):
+    try:
+        check()
+    except ValueError as exc:
+        print(name, "not unitary" in str(exc))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(mapwalk.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["coin", "True", "walk", "True"]

@@ -255,3 +255,9 @@ def test_coin_dimension_mismatch_raises():
         build_dense(config, dft_coin(2))
     with pytest.raises(ValueError):
         build_momentum_blocks(config, dft_coin(2))
+
+
+def test_build_dense_rejects_non_unitary_coin():
+    config = WalkConfig(L=4, coin=CoinSpec("dft", 2))
+    with pytest.raises(ValueError, match="walk operator not unitary"):
+        build_dense(config, np.ones((2, 2), dtype=np.complex128))

@@ -105,7 +105,9 @@ def _drift_kick_blocks(a, b, c1, c2, a_out, b_out, lo: int, hi: int) -> None:
 
 def _drift_kick(a, b, c1, c2):
     """New arrays (a', b') of the drift-then-kick step shared by the Harper map and its inverse."""
-    a, b = np.broadcast_arrays(a, b)
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
     dtype = np.result_type(a, b, 1.0)
     a_out, b_out = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
     if a.ndim != 1:  # scalars and n-d arrays: one pass with a scratch of their shape

@@ -65,8 +65,9 @@ class CoinSpec:
         Kick strength of the Harper coin (chaos parameter), finite and
         >= 0.  Ignored by the other coins.
     tau : float
-        Kick period of the Harper coin, finite and > 0, with tau*g
-        finite too.  Defaults to 1, which fixes the time scale.
+        Kick period of the Harper coin, finite and > 0, with tau*g,
+        tau*M and tau*g*M finite too.  Defaults to 1, which fixes the
+        time scale.
     phi : float or None
         Boundary phase in [0, 1) applied to both position and momentum
         coin states; breaks time-reversal symmetry when nonzero (Harper)
@@ -86,6 +87,11 @@ class CoinSpec:
         if self.M < 2 or self.M % 2 != 0:
             raise ValueError(f"M: coin dimension must be a positive even integer, got {self.M}")
         _check_kick(self.g, self.tau)
+        if not math.isfinite(self.tau * self.M):
+            raise ValueError(f"tau: the coin phase tau*M must be finite, got {self.tau}*{self.M}")
+        if not math.isfinite(self.tau * self.g * self.M):
+            raise ValueError(f"tau*g: the coin phase tau*g*M must be finite, "
+                             f"got {self.tau}*{self.g}*{self.M}")
         if self.phi is not None and not 0.0 <= self.phi < 1.0:
             raise ValueError(f"phi: boundary phase must lie in [0, 1), got {self.phi}")
 

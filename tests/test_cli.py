@@ -337,6 +337,8 @@ _SMALL_PORTRAIT = ["--n-trajectories", "2", "--n-steps", "3"]
     (["run", "--coin", "harper", *_SMALL_RUN, "--g", "nan"], "g"),
     (["run", "--coin", "harper", *_SMALL_RUN, "--tau", "inf"], "tau"),
     (["run", "--coin", "harper", *_SMALL_RUN, "--g", "1e200", "--tau", "1e200"], "tau*g"),
+    (["run", "--coin", "harper", "--M", "64", "--L", "10", "--t-max", "2", "--g", "1e307"],
+     "tau*g"),
     (["run", "--classical", "harper", *_SMALL_RUN, "--n-points", "10", "--g", "nan"], "g"),
     (["sweep", "--coin", "harper", *_SMALL_RUN, "--sweep", "g=1,inf"], "g"),
     (["phase-space", "--map", "harper", *_SMALL_PORTRAIT, "--g", "nan"], "g"),

@@ -176,10 +176,12 @@ def test_coin_matrices_are_read_only():
 
 @pytest.mark.parametrize("g, tau, field", [(math.nan, 1.0, "g:"), (math.inf, 1.0, "g:"),
                                            (1.0, math.nan, "tau:"), (1.0, math.inf, "tau:"),
-                                           (1e200, 1e200, "tau*g:")])
+                                           (1e200, 1e200, "tau*g:"), (1e307, 1.0, "tau*g:"),
+                                           (0.5, 1e307, "tau:")])
 def test_non_finite_harper_parameters_rejected(g, tau, field):
+    # the last two keep tau*g finite, but the phases tau*g*M and tau*M of M = 64 overflow
     with pytest.raises(ValueError, match=f"^{re.escape(field)}"):
-        CoinSpec("harper", 4, g=g, tau=tau)
+        CoinSpec("harper", 64, g=g, tau=tau)
 
 
 def test_non_unitary_coin_raises_value_error():

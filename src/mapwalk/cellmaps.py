@@ -11,15 +11,16 @@ acts only on the quantum side, so its absence here is structural.
 The Harper map and its inverse write straight into the two arrays they
 return: every ufunc runs with ``out=``, and the sine, kick and floor
 values pass through one scratch block of ``2**15`` points per chunk, so
-for a 1-D input no array of its size is made besides the results.  The reduction
-mod 1 is ``x - floor(x)``, which is ``x % 1.0`` bit for bit (both round
-the same exact value); a second pass folds the 1.0 that a tiny negative
-x rounds to back to 0.  A 1-D input of at least ``CHUNK_POINTS`` points
-is cut into one contiguous chunk per usable CPU (``os.sched_getaffinity``
-where the platform has it, else ``os.cpu_count()``); the chunks run at
-once on a module thread pool that is started on first use, since numpy's
-ufuncs release the GIL.  Each point's image depends on that point alone,
-so the result is the same bit for bit however the input is chunked.
+for a 1-D input no array of its size is made besides the results.  The
+reduction mod 1 is ``x - floor(x)``, which is ``x % 1.0`` bit for bit
+(both round the same exact value); a second pass folds the 1.0 that a
+tiny negative x rounds to back to 0.  A 1-D input of at least
+``CHUNK_POINTS`` points is cut into one contiguous chunk per usable CPU
+(``os.sched_getaffinity`` where the platform has it, else
+``os.cpu_count()``); the chunks run at once on a module thread pool that
+is started on first use, since numpy's ufuncs release the GIL.  Each
+point's image depends on that point alone, so the result is the same bit
+for bit however the input is chunked.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The phase space is a ring of L identical unit cells.  One walk step
 applies the intra-cell map to every point and then shifts each point to
 a neighbouring cell according to which half of the cell it landed in:
-the upper half (partition coordinate >= threshold) moves one cell to the
+the upper half (partition coordinate >= 1/2) moves one cell to the
 left, the lower half one cell to the right.  The partition coordinate is
 p for the horizontal splicing (the default) and q for the vertical one.
 
@@ -14,8 +14,9 @@ four steps.  No boundary phase appears anywhere in this module: the
 phase is a purely quantum parameter.
 
 Evolution is vectorized over the ensemble and bitwise deterministic for
-a fixed seed; points are independent, so ensembles may also be split
-across workers with per-worker sub-seeds without changing any result.
+a fixed seed; points are independent, so a fixed ensemble may be split
+into chunks stepped concurrently with bit-identical results (a different
+seed per chunk would change the fill, and so the result).
 """
 
 from __future__ import annotations
@@ -72,19 +73,16 @@ class CellPartition:
     """Half-cell splicing rule deciding the shift direction.
 
     ``orientation="horizontal"`` tests the p coordinate (top part left,
-    bottom part right), ``"vertical"`` tests q.  The threshold intervals
-    are half open: a point exactly on the threshold belongs to the upper
-    half and shifts left, mirroring the baker map's branch at q = 1/2.
+    bottom part right), ``"vertical"`` tests q.  The halves are half
+    open: a point exactly at 1/2 belongs to the upper half and shifts
+    left, mirroring the baker map's branch at q = 1/2.
     """
 
     orientation: str = "horizontal"
-    threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if self.orientation not in ("horizontal", "vertical"):
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
 
 
 def classical_counterpart(coin: CoinSpec) -> CellMap:
@@ -108,7 +106,6 @@ class PhaseEnsemble:
     q: NDArray[np.float64]
     p: NDArray[np.float64]
     L: int
-    rng_seed: int = 0
     time: int = 0
 
     def __post_init__(self) -> None:
@@ -130,17 +127,15 @@ class PhaseEnsemble:
         return len(self.cells)
 
     @classmethod
-    def uniform_fill(cls, L: int, n_points: int, seed: int = 0,
-                     cell: int = 0) -> "PhaseEnsemble":
-        """Seeded uniform random filling of a single cell."""
+    def uniform_fill(cls, L: int, n_points: int, seed: int = 0) -> "PhaseEnsemble":
+        """Seeded uniform random filling of cell 0."""
         rng = np.random.default_rng(seed)
-        return cls(cells=np.full(n_points, cell % L, dtype=np.int64),
-                   q=rng.random(n_points), p=rng.random(n_points),
-                   L=L, rng_seed=seed)
+        return cls(cells=np.zeros(n_points, dtype=np.int64),
+                   q=rng.random(n_points), p=rng.random(n_points), L=L)
 
     @classmethod
-    def grid_fill(cls, L: int, side: int, cell: int = 0) -> "PhaseEnsemble":
-        """Midpoint grid filling (side x side) of a single cell.
+    def grid_fill(cls, L: int, side: int) -> "PhaseEnsemble":
+        """Midpoint grid filling (side x side) of cell 0.
 
         With a power-of-two side this aligns with the baker map's dyadic
         partitions, making the multi-baker walk exactly binomial.
@@ -148,8 +143,8 @@ class PhaseEnsemble:
         centers = (np.arange(side) + 0.5) / side
         qq, pp = np.meshgrid(centers, centers, indexing="ij")
         n = side * side
-        return cls(cells=np.full(n, cell % L, dtype=np.int64),
-                   q=qq.reshape(n), p=pp.reshape(n), L=L, rng_seed=0)
+        return cls(cells=np.zeros(n, dtype=np.int64),
+                   q=qq.reshape(n), p=pp.reshape(n), L=L)
 
 
 def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
@@ -164,7 +159,7 @@ def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
     # which wraps the ring without an integer modulo
     sites = np.arange(ens.L)
     neighbours = np.concatenate((np.roll(sites, -1), np.roll(sites, 1)))
-    index = np.multiply(coord >= partition.threshold, ens.L)
+    index = np.multiply(coord >= 0.5, ens.L)
     index += ens.cells
     cells = neighbours[index]
     return replace(ens, cells=cells, q=np.asarray(q), p=np.asarray(p),
@@ -209,16 +204,13 @@ def _ensemble_distributions(ens: PhaseEnsemble, cell_map: CellMap,
 
 def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
                          t_max: int, n_points: int = 100_000, seed: int = 0,
-                         grid_side: int | None = None,
                          keep_distributions: bool = False) -> WalkTimeSeries:
     """Observable time series for the multi-map walk started in cell 0.
 
-    The initial ensemble is a seeded uniform fill of cell 0, or an exact
-    midpoint grid when ``grid_side`` is given.  The statistics come from
-    the same series loop as the quantum walk.
+    The initial ensemble is a seeded uniform fill of cell 0.  The
+    statistics come from the same series loop as the quantum walk.
     """
     # the generator holds the only reference to each ensemble, freeing it once stepped
-    dists = _ensemble_distributions(
-        PhaseEnsemble.grid_fill(L, grid_side) if grid_side is not None
-        else PhaseEnsemble.uniform_fill(L, n_points, seed=seed), cell_map, partition)
+    dists = _ensemble_distributions(PhaseEnsemble.uniform_fill(L, n_points, seed=seed),
+                                    cell_map, partition)
     return _time_series(dists, t_max, keep_distributions)

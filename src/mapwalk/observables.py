@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import islice
 
 import numpy as np
 from numpy.typing import NDArray
@@ -123,13 +123,19 @@ def _bundle_site_probs(psi: NDArray[np.complex128]) -> NDArray[np.float64]:
     return (np.abs(amps) ** 2).reshape(amps.shape[0], -1).sum(axis=1) / M
 
 
+def _bundle_states(blocks: MomentumBlockSet) -> Iterator[NDArray[np.complex128]]:
+    """The one quantum stepper: the bundle at t = 0, 1, 2, ..., stepped only when resumed."""
+    psi = _initial_bundle(blocks.L, blocks.M)
+    while True:
+        yield psi
+        psi = _apply_blocks(blocks.blocks, psi)
+
+
 def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
     """Distribution p_l(t) from block evolution of the M coin-basis starts."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    psi = _initial_bundle(blocks.L, blocks.M)
-    for _ in range(t):
-        psi = _apply_blocks(blocks.blocks, psi)
+    psi = next(islice(_bundle_states(blocks), t, None))  # no site transform before t
     return SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi), time=t)
 
 
@@ -152,10 +158,8 @@ def _time_series(dists: Iterator[SiteDistribution], t_max: int,
 
 def _bundle_distributions(blocks: MomentumBlockSet) -> Iterator[SiteDistribution]:
     """Distributions at t = 0, 1, 2, ... of the block-evolved coin-basis starts."""
-    psi = _initial_bundle(blocks.L, blocks.M)
-    for t in count():
+    for t, psi in enumerate(_bundle_states(blocks)):
         yield SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi), time=t)
-        psi = _apply_blocks(blocks.blocks, psi)
 
 
 def run_time_series(config: WalkConfig, t_max: int,

@@ -194,8 +194,6 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         CellPartition("diagonal")
     with pytest.raises(ValueError):
-        CellPartition(threshold=0.0)
-    with pytest.raises(ValueError):
         PhaseEnsemble(cells=np.array([], dtype=np.int64), q=np.array([]),
                       p=np.array([]), L=4)
     with pytest.raises(ValueError):

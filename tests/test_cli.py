@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from mapwalk import cellmaps, coins
+from mapwalk import cellmaps, cli, coins
 from mapwalk.cli import main
 
 
@@ -359,6 +359,27 @@ def test_non_unitary_coin_is_a_runtime_error(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("runtime error: coin matrix not unitary")
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("classical_msd_series", ["run", "--classical", "baker", "--L", "10", "--t-max", "1",
+                              "--n-points", "1000000000000"]),
+    ("coin_matrix", ["run", "--coin", "dft", "--M", "2000000", "--L", "10", "--t-max", "1"]),
+])
+def test_allocation_failure_is_a_runtime_error_leaving_no_file(tmp_path, capsys, monkeypatch,
+                                                              target, argv):
+    # the failure is simulated: nothing of that size is ever allocated
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, fail)
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert out == ""
+    assert err == f"runtime error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classical_sweep_above_chunk_size_matches_single_runs(capsys, monkeypatch):

@@ -181,6 +181,18 @@ def test_series_shares_single_evolution_pass():
     np.testing.assert_array_equal(a.pr, b.pr)
 
 
+@pytest.mark.parametrize("coin", [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2),
+                                  CoinSpec("baker", 4)])
+def test_site_probabilities_matches_series_bit_for_bit(coin):
+    # both entry points step the same bundle generator
+    config = WalkConfig(L=20, coin=coin)
+    blocks = build_momentum_blocks(config, coin_matrix(coin))
+    series = run_time_series(config, 12, keep_distributions=True)
+    for t in range(13):
+        assert np.array_equal(site_probabilities(blocks, t).probs,
+                              series.distributions[t].probs), t
+
+
 def test_series_bit_stable_across_runs():
     config = WalkConfig(L=30, coin=CoinSpec("harper", 6, g=1.0, phi=0.2))
     a = run_time_series(config, 25)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from mapwalk.coins import CoinSpec, coin_matrix, dft_coin
-from mapwalk.walk import (WalkConfig, WalkState, build_dense,
-                          build_momentum_blocks, evolve, amplitude,
-                          basis_state, momentum_to_site)
+from mapwalk.observables import _bundle_states, site_probabilities
+from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, _apply_blocks,
+                          momentum_to_site)
 
 TOL = 1e-10
 
@@ -28,13 +28,17 @@ def coin_averaged_probs_dense(E, L, M, t):
     return (np.abs(psi) ** 2).reshape(L, M, M).sum(axis=(1, 2)) / M
 
 
-def coin_averaged_probs_blocks(blocks, t):
-    psi = np.broadcast_to(np.eye(blocks.M, dtype=complex) / np.sqrt(blocks.L),
-                          (blocks.L, blocks.M, blocks.M)).copy()
-    for _ in range(t):
-        psi = np.matmul(blocks.blocks, psi)
-    site = momentum_to_site(psi)
-    return (np.abs(site) ** 2).sum(axis=(1, 2)) / blocks.M
+def momentum_column(L, M, coin):
+    """|site 0> x |coin> in the momentum basis, as an (L, M, 1) column for _apply_blocks."""
+    psi = np.zeros((L, M, 1), dtype=complex)
+    psi[:, coin, 0] = 1.0 / np.sqrt(L)
+    return psi
+
+
+def step_column(blocks, psi, steps):
+    for _ in range(steps):
+        psi = _apply_blocks(blocks.blocks, psi)
+    return psi
 
 
 def test_dense_single_step_hand_computed():
@@ -42,7 +46,9 @@ def test_dense_single_step_hand_computed():
     # component hops left to site 3, the coin-1 component right to site 1.
     config = WalkConfig(L=4, coin=CoinSpec("dft", 2))
     E = build_dense(config, dft_coin(2))
-    out = E @ basis_state(4, 2, 0, 0).data
+    start = np.zeros(8, dtype=complex)
+    start[0 * 2 + 0] = 1.0
+    out = E @ start
     expected = np.zeros(8, dtype=complex)
     expected[3 * 2 + 0] = 1 / np.sqrt(2)
     expected[1 * 2 + 1] = 1 / np.sqrt(2)
@@ -80,14 +86,14 @@ def test_block_k0_equals_coin():
     config = WalkConfig(L=7, coin=CoinSpec("dft", 4))
     U = dft_coin(4)
     blocks = build_momentum_blocks(config, U)
-    np.testing.assert_allclose(blocks.block(0), U, atol=1e-14)
+    np.testing.assert_allclose(blocks.blocks[0], U, atol=1e-14)
 
 
 @pytest.mark.parametrize("coin", ALL_COINS)
 def test_blocks_unitary(coin):
     blocks = build_momentum_blocks(WalkConfig(L=9, coin=coin), coin_matrix(coin))
     for k in range(9):
-        B = blocks.block(k)
+        B = blocks.blocks[k]
         assert np.max(np.abs(B.conj().T @ B - np.eye(coin.M))) < TOL
 
 
@@ -100,25 +106,26 @@ def test_block_evolution_matches_dense_oracle(L, coin):
     blocks = build_momentum_blocks(config, U)
     for t in range(21):
         dense_p = coin_averaged_probs_dense(E, L, coin.M, t)
-        block_p = coin_averaged_probs_blocks(blocks, t)
+        block_p = site_probabilities(blocks, t).probs
         assert np.max(np.abs(dense_p - block_p)) < TOL
 
 
 def test_evolve_zero_steps_is_identity():
+    # the stepper yields the start bundle itself before its first step
     config = WalkConfig(L=6, coin=CoinSpec("dft", 4))
     blocks = build_momentum_blocks(config, coin_matrix(config.coin))
-    st = basis_state(6, 4, 2, 1, basis="momentum")
-    out = evolve(st, blocks, 0)
-    np.testing.assert_array_equal(out.data, st.data)
-    assert out.time == st.time
+    start = next(_bundle_states(blocks))
+    np.testing.assert_array_equal(start, np.broadcast_to(np.eye(4) / np.sqrt(6), (6, 4, 4)))
+    expected = np.zeros((6, 4, 4))
+    expected[0] = np.eye(4)
+    np.testing.assert_allclose(np.abs(momentum_to_site(start)) ** 2, expected, atol=1e-15)
 
 
 def test_evolve_hadamard_one_step_support():
     config = WalkConfig(L=100, coin=CoinSpec("dft", 2))
     blocks = build_momentum_blocks(config, dft_coin(2))
-    st = evolve(basis_state(100, 2, 0, 0, basis="momentum"), blocks, 1)
-    probs = np.abs(st.to_site().data.reshape(100, 2)) ** 2
-    support = set(np.nonzero(probs.sum(axis=1) > 1e-20)[0])
+    site = momentum_to_site(step_column(blocks, momentum_column(100, 2, 0), 1))
+    support = set(np.nonzero((np.abs(site[:, :, 0]) ** 2).sum(axis=1) > 1e-20)[0])
     assert support == {1, 99}
 
 
@@ -128,41 +135,20 @@ def test_evolve_period_four_echo_for_large_fourier_coin():
     # are the exception, so probe a generic row.
     config = WalkConfig(L=100, coin=CoinSpec("dft", 40))
     blocks = build_momentum_blocks(config, dft_coin(40))
-    st0 = basis_state(100, 40, 0, 10, basis="momentum")
+    psi0 = momentum_column(100, 40, 10)
     ov = {}
-    st = st0
+    psi = psi0
     for t in (1, 2, 3, 4):
-        st = evolve(st, blocks, 1)
-        ov[t] = abs(np.vdot(st0.data, st.data)) ** 2
+        psi = step_column(blocks, psi, 1)
+        ov[t] = abs(np.vdot(psi0, psi)) ** 2
     assert ov[4] > ov[2]
 
 
 def test_evolve_norm_preserved_long_run():
     config = WalkConfig(L=256, coin=CoinSpec("harper", 64, g=2.0, phi=0.2))
     blocks = build_momentum_blocks(config, coin_matrix(config.coin))
-    st = evolve(basis_state(256, 64, 0, 0, basis="momentum"), blocks, 1000)
-    assert abs(st.norm_sq() - 1.0) < TOL
-    assert st.time == 1000
-
-
-def test_evolve_representation_mismatch_raises():
-    config = WalkConfig(L=4, coin=CoinSpec("dft", 2))
-    U = dft_coin(2)
-    blocks = build_momentum_blocks(config, U)
-    E = build_dense(config, U)
-    site_state = basis_state(4, 2, 0, 0)
-    with pytest.raises(ValueError):
-        evolve(site_state, blocks, 1)
-    with pytest.raises(ValueError):
-        evolve(site_state.to_momentum(), E, 1)
-    evolve(site_state.to_momentum(), blocks, 1)  # converted: fine
-
-
-def test_evolve_rejects_negative_steps():
-    config = WalkConfig(L=4, coin=CoinSpec("dft", 2))
-    blocks = build_momentum_blocks(config, dft_coin(2))
-    with pytest.raises(ValueError):
-        evolve(basis_state(4, 2, basis="momentum"), blocks, -1)
+    psi = step_column(blocks, momentum_column(256, 64, 0), 1000)
+    assert abs(np.sum(np.abs(psi) ** 2) - 1.0) < TOL
 
 
 def test_translation_covariance():
@@ -197,50 +183,31 @@ def test_identity_coin_reduces_to_pure_shift_with_period_L():
     np.testing.assert_allclose(np.linalg.matrix_power(S, L), np.eye(L), atol=0)
 
 
-def test_amplitude_basis_state():
-    st = basis_state(5, 4, 3, 2)
-    assert amplitude(st, 3, 2) == 1.0
-    others = [amplitude(st, n, a) for n in range(5) for a in range(4) if (n, a) != (3, 2)]
-    assert max(abs(x) for x in others) == 0.0
-
-
 def test_amplitude_agrees_across_representations():
     config = WalkConfig(L=8, coin=CoinSpec("harper", 4, g=1.0))
     U = coin_matrix(config.coin)
     blocks = build_momentum_blocks(config, U)
     E = build_dense(config, U)
-    mom = evolve(basis_state(8, 4, 0, 1, basis="momentum"), blocks, 7)
-    dense = evolve(basis_state(8, 4, 0, 1), E, 7)
-    for n in range(8):
-        for a in range(4):
-            assert abs(amplitude(mom, n, a) - amplitude(dense, n, a)) < TOL
+    mom = step_column(blocks, momentum_column(8, 4, 1), 7)[:, :, 0]
+    dense = np.zeros(8 * 4, dtype=complex)
+    dense[0 * 4 + 1] = 1.0
+    for _ in range(7):
+        dense = E @ dense
+    np.testing.assert_allclose(momentum_to_site(mom).reshape(-1), dense, atol=TOL)
     # oracle: the explicit L-point Fourier matrix <n|k> = e^{2 pi i nk/L}/sqrt(L)
     F = np.exp(2j * np.pi * np.outer(np.arange(8), np.arange(8)) / 8) / np.sqrt(8)
-    explicit = (F @ mom.data).reshape(-1)
-    np.testing.assert_allclose(explicit, dense.data, atol=TOL)
+    explicit = (F @ mom).reshape(-1)
+    np.testing.assert_allclose(explicit, dense, atol=TOL)
 
 
 def test_amplitude_uniform_momentum_superposition():
     L, M = 8, 2
     data = np.zeros((L, M), dtype=complex)
     data[:, 1] = 1.0 / np.sqrt(L)
-    st = WalkState(data, L=L, M=M, basis="momentum")
-    assert abs(amplitude(st, 0, 1) - 1.0) < 1e-12
-    assert abs(amplitude(st, 3, 1)) < 1e-12
-
-
-def test_amplitude_out_of_range():
-    st = basis_state(4, 2, 0, 0)
-    for site, coin in [(-1, 0), (4, 0), (0, -1), (0, 2)]:
-        with pytest.raises(IndexError):
-            amplitude(st, site, coin)
-
-
-def test_walk_state_norm_validated():
-    bad = np.zeros(8, dtype=complex)
-    bad[0] = 0.5
-    with pytest.raises(ValueError):
-        WalkState(bad, L=4, M=2)
+    site = momentum_to_site(data)
+    assert abs(site[0, 1] - 1.0) < 1e-12
+    assert abs(site[3, 1]) < 1e-12
+    assert np.max(np.abs(np.delete(site.reshape(-1), 0 * M + 1))) < 1e-12
 
 
 def test_walk_config_validation():

@@ -26,8 +26,8 @@ written atomically; a failing run leaves no partial file.
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -35,8 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from types import SimpleNamespace
-
-import numpy as np
 
 from .coins import COIN_KINDS, CoinSpec, coin_matrix, coin_in_position_basis
 from .walk import WalkConfig
@@ -243,9 +241,7 @@ def _single_series(s: SimpleNamespace, config: WalkConfig,
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    return str(x) if isinstance(x, int) else f"{x:.17g}"
 
 
 def _resolved_params(s: SimpleNamespace) -> dict:
@@ -262,12 +258,11 @@ def _resolved_params(s: SimpleNamespace) -> dict:
 
 
 def _series_rows(series: WalkTimeSeries, prefix: list) -> list[list]:
-    rows = []
-    for i, t in enumerate(series.times):
-        row = list(prefix) + [int(t), series.msd[i], series.entropy[i], series.pr[i]]
-        if series.distributions is not None:
-            row.extend(series.distributions[i].probs.tolist())
-        rows.append(row)
+    stats = zip(series.times.tolist(), series.msd.tolist(), series.entropy.tolist(),
+                series.pr.tolist())
+    rows = [prefix + list(values) for values in stats]
+    for row, dist in zip(rows, series.distributions or ()):
+        row.extend(dist.probs.tolist())
     return rows
 
 
@@ -295,23 +290,52 @@ def _phase_space_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list
         raise ConfigError(str(exc)) from exc
     pts = phase_portrait(cmap, s.n_trajectories, s.n_steps, seed=s.seed)
     params = {f.attr: getattr(s, f.attr) for f in PHASE_SPACE_FIELDS if f not in (_FORMAT, _OUT)}
-    rows = [[float(q), float(p)] for q, p in pts]
-    return params, ["q", "p"], rows
+    return params, ["q", "p"], pts.tolist()
+
+
+def _formatted_rows(rows: list[list], specs: dict, template_of) -> list[str]:
+    """Each row through one %-template, made by ``template_of`` from the ``specs``
+    of its value types and reused for every row of the same types."""
+    templates: dict[tuple, str] = {}
+    lines = []
+    for row in rows:
+        kinds = tuple(map(type, row))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = template_of([specs[k] for k in kinds])
+        lines.append(template % tuple(row))
+    return lines
 
 
 def _render_csv(params: dict, header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    buf.write("# " + " ".join(f"{k}={v}" for k, v in params.items()) + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(x) for x in row) + "\n")
-    return buf.getvalue()
+    """Rows of Python ints and floats, the floats with 17 significant digits."""
+    lines = ["# " + " ".join(f"{k}={v}" for k, v in params.items()), ",".join(header)]
+    lines += _formatted_rows(rows, {int: "%d", float: "%.17g"}, ",".join)
+    return "\n".join(lines) + "\n"
+
+
+def _json_number(x) -> str:
+    """A number spelled as ``json.dumps`` spells it, non-finite floats included."""
+    return int.__repr__(x) if isinstance(x, int) else json.dumps(float(x))
 
 
 def _render_json(params: dict, header: list[str], rows: list[list]) -> str:
-    records = [dict(zip(header, [int(x) if isinstance(x, (int, np.integer)) else float(x)
-                                 for x in row])) for row in rows]
-    return json.dumps({"params": params, "records": records}, indent=1) + "\n"
+    """The text of ``json.dumps({"params": ..., "records": ...}, indent=1)`` for
+    rows of Python ints and floats, without passing the records through json."""
+    head = json.dumps({"params": params, "records": []}, indent=1)
+    if not rows:
+        return head + "\n"
+    keys = [json.dumps(k).replace("%", "%%") for k in header]
+
+    def record(specs: list[str]) -> str:
+        return "  {\n" + ",\n".join(f"   {k}: {s}" for k, s in zip(keys, specs)) + "\n  }"
+
+    # %d and %r spell finite ints and floats as json does; json's NaN/Infinity need a slow path
+    lines = _formatted_rows(rows, {int: "%d", float: "%r"}, record)
+    for i, row in enumerate(rows):
+        if not math.isfinite(sum(row)):
+            lines[i] = record(["%s"] * len(row)) % tuple(map(_json_number, row))
+    return head[:-len("[]\n}")] + "[\n" + ",\n".join(lines) + "\n ]\n}\n"
 
 
 def _emit(text: str, out: str) -> None:

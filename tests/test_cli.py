@@ -395,3 +395,28 @@ def test_classical_sweep_above_chunk_size_matches_single_runs(capsys, monkeypatc
         assert code == 0
         want += [f"{g},{line}" for line in single.splitlines()[2:]]
     assert out.splitlines()[2:] == want
+
+
+EDGE_ROWS = [
+    [0, 3, -0.0, 5e-324, 1e-300],
+    [-7, 10**20, 0.1, 1e16, 123456789.125],
+    [1, 2, math.nan, math.inf, -math.inf],
+    [4, 5, 2.5, -1e308, 0.30000000000000004],
+]
+EDGE_HEADER = ["M", "time", "msd", "entropy", "p%d"]
+EDGE_PARAMS = {"coin": "dft", "phi": "coin-default", "g": 0.0, "emit_distributions": False}
+
+
+@pytest.mark.parametrize("rows", [EDGE_ROWS, EDGE_ROWS[2:3], [], [[0.5, 1], [2, 0.5]]])
+def test_render_json_is_json_dumps_indent_1(rows):
+    records = [dict(zip(EDGE_HEADER, row)) for row in rows]
+    expected = json.dumps({"params": EDGE_PARAMS, "records": records}, indent=1) + "\n"
+    assert cli._render_json(EDGE_PARAMS, EDGE_HEADER, rows) == expected
+
+
+def test_render_csv_spells_ints_and_17_digit_floats():
+    text = cli._render_csv({"L": 4}, EDGE_HEADER, EDGE_ROWS + [[0.5, 1], []])
+    expected = ["# L=4", ",".join(EDGE_HEADER)] + [
+        ",".join(str(x) if isinstance(x, int) else format(x, ".17g") for x in row)
+        for row in EDGE_ROWS + [[0.5, 1], []]]
+    assert text == "\n".join(expected) + "\n"

@@ -4,11 +4,13 @@ Each file under ``tests/golden/`` holds the exact standard output of one
 ``mapwalk`` command below.  Any change to a number, its formatting, the
 metadata line or the record order shows up here.  After an intended output
 change, rewrite the files with ``PYTHONPATH=src python tests/test_golden.py``
-and review the diff.
+and review the diff: for each file it rewrites, it prints how many numbers
+changed and the largest absolute and relative change.
 """
 
 import contextlib
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -65,7 +67,42 @@ def test_golden_output(name):
     assert _stdout_of(COMMANDS[name]) == expected
 
 
+#: A number of the CSV/JSON text, not a digit inside a name such as p12.
+NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|NaN|Infinity)")
+
+
+def number_changes(old: str, new: str) -> str:
+    """How the numbers of a rewritten file moved: the count that changed, the
+    count that became exact zeros, and the largest absolute and relative change
+    of the rest (relative to the larger magnitude)."""
+    a, b = NUMBER.findall(old), NUMBER.findall(new)
+    if NUMBER.sub("#", old) != NUMBER.sub("#", new):
+        return "layout changed; numbers not compared"
+    pairs = [(float(x), float(y)) for x, y in zip(a, b) if x != y]
+    zeroed = sum(y == 0.0 for _, y in pairs)
+    rest = [(x, y) for x, y in pairs if y != 0.0]
+    abs_max = max((abs(y - x) for x, y in rest), default=0.0)
+    rel_max = max((abs(y - x) / max(abs(x), abs(y)) for x, y in rest), default=0.0)
+    return (f"{len(pairs)} of {len(a)} numbers changed, {zeroed} to exact 0; "
+            f"largest change of the rest {abs_max:.2g} absolute, {rel_max:.2g} relative")
+
+
+def test_number_changes_report():
+    old = "# L=4\ntime,p0,p1\n0,7.8e-32,1\n1,0.25,0.75\n"
+    new = "# L=4\ntime,p0,p1\n0,0,1\n1,0.25000000000000006,0.75\n"
+    assert number_changes(old, new) == ("2 of 7 numbers changed, 1 to exact 0; largest change "
+                                        "of the rest 5.6e-17 absolute, 2.2e-16 relative")
+    assert number_changes(old, old.replace("p1", "p1,p2")) == "layout changed; numbers not compared"
+
+
 if __name__ == "__main__":
     for name, argv in sorted(COMMANDS.items()):
-        (GOLDEN_DIR / name).write_bytes(_stdout_of(argv))
-        print(f"wrote {GOLDEN_DIR / name}")
+        path = GOLDEN_DIR / name
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
+        new = _stdout_of(argv)
+        if new == old.encode("utf-8"):
+            print(f"unchanged {path}")
+            continue
+        path.write_bytes(new)
+        print(f"wrote {path}: {number_changes(old, new.decode('utf-8'))}")
+

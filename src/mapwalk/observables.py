@@ -17,8 +17,12 @@ for every coin shipped here.  Three summary statistics condense p_l(t):
 
 ``run_time_series`` produces all three at every time step in a single
 pass over the evolution.  The M coin-state evolutions are batched into
-one stacked matrix product per step; the reduction order is fixed, so
-repeated runs are bit-identical.  Classical ensembles share the loop.
+one stacked matrix product per step: the bundle holds E_k^t, one M x M
+block per lattice momentum k.  At time t the walker can only be on the
+sites -t..t (the light cone), so the site transform inverse-FFTs only as
+many momenta as the cone needs and writes exact zeros elsewhere.  The
+reduction order is fixed, so repeated runs are bit-identical.  Classical
+ensembles share the loop.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import coin_matrix
-from .walk import WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks, momentum_to_site
+from .walk import WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks
 
 __all__ = [
     "SiteDistribution",
@@ -108,19 +112,43 @@ def participation_ratio(dist: SiteDistribution) -> float:
 
 
 def _initial_bundle(L: int, M: int) -> NDArray[np.complex128]:
-    """Momentum representation of the M site-basis states |0, b>, stacked.
+    """E_k^0 = 1 in every momentum sector, stacked.
 
     Shape (L, M, M): axis 0 is lattice momentum, axis 1 the coin row,
-    axis 2 indexes which initial coin state the column belongs to.
+    axis 2 indexes which initial coin state |0, b> the column belongs to.
+    Stepping keeps E_k^t here, and the inverse FFT (with its 1/L) turns
+    that into the site amplitudes <l, a|E^t|0, b>.
     """
-    return np.broadcast_to(np.eye(M, dtype=np.complex128) / np.sqrt(L), (L, M, M)).copy()
+    return np.broadcast_to(np.eye(M, dtype=np.complex128), (L, M, M)).copy()
 
 
-def _bundle_site_probs(psi: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Coin-averaged site probabilities of a stacked momentum bundle."""
-    amps = momentum_to_site(psi)  # (L, M, M), axis 0 now the site index
-    M = amps.shape[2]
-    return (np.abs(amps) ** 2).reshape(amps.shape[0], -1).sum(axis=1) / M
+def _cone_length(L: int, t: int) -> int:
+    """The smallest divisor of L that is at least min(2t + 1, L)."""
+    return next(n for n in range(min(2 * t + 1, L), L + 1) if L % n == 0)
+
+
+def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int) -> NDArray[np.float64]:
+    """Coin-averaged site probabilities of the bundle E_k^t, transforming only the light cone.
+
+    The walker is on the sites -t..t at time t.  The length-N inverse FFT of
+    every (L/N)-th momentum gives each site's amplitude summed with those of
+    the sites N, 2N, ... away; with N >= 2t + 1 at most one site of each such
+    class lies in the cone, so the cone's values are exact and every other
+    site is exactly 0.  Once the cone covers the ring, N = L.
+    """
+    L, M = psi.shape[:2]
+    N = _cone_length(L, t)
+    # the FFT writes into the head of a bundle-sized block, so that every step asks the
+    # allocator for the same size and the growing cone leaves no holes in the heap
+    amps = np.fft.ifft(psi[::L // N], axis=0, out=np.empty_like(psi)[:N])
+    amps = amps.reshape(N, -1).view(np.float64)
+    probs = np.empty(L)
+    cone = probs[:N]
+    np.einsum("ij,ij->i", amps, amps, out=cone)
+    cone /= M
+    probs[L - t:] = cone[N - t:]  # the sites -t..-1 to the end of the ring
+    probs[t + 1:L - t] = 0.0
+    return probs
 
 
 def _bundle_states(blocks: MomentumBlockSet) -> Iterator[NDArray[np.complex128]]:
@@ -136,7 +164,7 @@ def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     psi = next(islice(_bundle_states(blocks), t, None))  # no site transform before t
-    return SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi), time=t)
+    return SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi, t=t), time=t)
 
 
 def _time_series(dists: Iterator[SiteDistribution], t_max: int,
@@ -159,7 +187,7 @@ def _time_series(dists: Iterator[SiteDistribution], t_max: int,
 def _bundle_distributions(blocks: MomentumBlockSet) -> Iterator[SiteDistribution]:
     """Distributions at t = 0, 1, 2, ... of the block-evolved coin-basis starts."""
     for t, psi in enumerate(_bundle_states(blocks)):
-        yield SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi), time=t)
+        yield SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi, t=t), time=t)
 
 
 def run_time_series(config: WalkConfig, t_max: int,

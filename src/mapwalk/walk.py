@@ -19,7 +19,10 @@ Two equivalent operator representations are built:
 The lattice Fourier convention is <n|k> = exp(2*pi*i*n*k/L)/sqrt(L); the
 block phases are fixed by requiring exact agreement with the dense
 operator under that convention (the phase on the left-shifted rows is
-e^{+2*pi*i*k/L}).
+e^{+2*pi*i*k/L}).  ``momentum_to_site`` applies it to normalized momentum
+states; the tests use it as an oracle.  The evolution itself keeps the
+unnormalized blocks E_k^t and leaves the site transform to
+``observables``.
 
 All operators are pure data; block evolution touches no shared mutable
 state, so blocks may be processed concurrently.
@@ -82,7 +85,7 @@ class MomentumBlockSet:
 
 
 def momentum_to_site(psi: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Inverse lattice Fourier transform along axis 0: psi(k) -> psi(n)."""
+    """Inverse lattice Fourier transform along axis 0: psi(k) -> psi(n), unitary."""
     return np.fft.ifft(psi, axis=0) * np.sqrt(psi.shape[0])
 
 

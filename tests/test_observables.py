@@ -10,7 +10,8 @@ from mapwalk.walk import WalkConfig, build_dense, build_momentum_blocks, momentu
 from mapwalk.observables import (SiteDistribution, WalkTimeSeries,
                                  site_probabilities, msd, site_entropy,
                                  participation_ratio, run_time_series,
-                                 trace_site_probabilities)
+                                 trace_site_probabilities, _bundle_site_probs,
+                                 _bundle_states, _cone_length)
 
 TOL = 1e-10
 
@@ -225,3 +226,47 @@ def test_site_probabilities_rejects_negative_time():
                                    coin_matrix(CoinSpec("dft", 2)))
     with pytest.raises(ValueError):
         site_probabilities(blocks, -1)
+
+
+def full_transform_probs(psi):
+    """Oracle: all L momenta inverse-transformed, |.|^2 summed over the coin indices."""
+    L, M = psi.shape[:2]
+    return (np.abs(np.fft.ifft(psi, axis=0)) ** 2).reshape(L, -1).sum(axis=1) / M
+
+
+CONE_COINS = [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2), CoinSpec("baker", 4)]
+
+
+@pytest.mark.parametrize("L", [2, 3, 9, 101, 400, 512])
+@pytest.mark.parametrize("coin", CONE_COINS, ids=lambda c: c.kind)
+def test_light_cone_transform_matches_full_transform(coin, L):
+    # t runs from 0 to past the step where the cone wraps the ring
+    blocks = build_momentum_blocks(WalkConfig(L=L, coin=coin), coin_matrix(coin))
+    sites = np.arange(L)
+    outside = np.minimum(sites, L - sites)[None, :] > np.arange(L // 2 + 3)[:, None]
+    for t, psi in zip(range(L // 2 + 3), _bundle_states(blocks)):
+        p = _bundle_site_probs(psi, t=t)
+        np.testing.assert_allclose(p, full_transform_probs(psi), rtol=0, atol=1e-14)
+        assert np.all(p[outside[t]] == 0.0)
+
+
+@pytest.mark.parametrize("L", [2, 3, 12, 101, 400])
+def test_cone_length_is_the_smallest_divisor_covering_the_cone(L):
+    for t in range(L):
+        n = _cone_length(L, t)
+        assert L % n == 0 and n >= min(2 * t + 1, L)
+        assert not any(L % m == 0 for m in range(min(2 * t + 1, L), n))
+
+
+@pytest.mark.parametrize("L", [2, 7, 20, 400])
+@pytest.mark.parametrize("coin", RUN_COINS)
+def test_series_t0_is_exact(coin, L):
+    series = run_time_series(WalkConfig(L=L, coin=coin), 1, keep_distributions=True)
+    assert np.array_equal(series.distributions[0].probs, np.eye(L)[0])
+    assert (series.msd[0], series.entropy[0], series.pr[0]) == (0.0, 0.0, 1 / L)
+
+
+def test_series_entropy_never_negative():
+    # the run_dft.json walk, continued past the wrap of the ring
+    series = run_time_series(WalkConfig(L=20, coin=CoinSpec("dft", 2)), 40)
+    assert np.all(series.entropy >= 0.0)

@@ -111,14 +111,15 @@ def test_block_evolution_matches_dense_oracle(L, coin):
 
 
 def test_evolve_zero_steps_is_identity():
-    # the stepper yields the start bundle itself before its first step
+    # the stepper yields the start bundle E_k^0 = 1 itself before its first step, and
+    # the plain inverse FFT of the bundle gives the site amplitudes
     config = WalkConfig(L=6, coin=CoinSpec("dft", 4))
     blocks = build_momentum_blocks(config, coin_matrix(config.coin))
     start = next(_bundle_states(blocks))
-    np.testing.assert_array_equal(start, np.broadcast_to(np.eye(4) / np.sqrt(6), (6, 4, 4)))
+    np.testing.assert_array_equal(start, np.broadcast_to(np.eye(4), (6, 4, 4)))
     expected = np.zeros((6, 4, 4))
     expected[0] = np.eye(4)
-    np.testing.assert_allclose(np.abs(momentum_to_site(start)) ** 2, expected, atol=1e-15)
+    np.testing.assert_allclose(np.abs(np.fft.ifft(start, axis=0)) ** 2, expected, atol=1e-15)
 
 
 def test_evolve_hadamard_one_step_support():

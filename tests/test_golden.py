@@ -71,29 +71,35 @@ def test_golden_output(name):
 NUMBER = re.compile(r"(?<![\w.])-?(?:\d+(?:\.\d*)?(?:[eE][-+]?\d+)?|NaN|Infinity)")
 
 
+#: Below this both before and after, a change is round-off on a site the walk cannot reach.
+ROUND_OFF = 1e-12
+
+
 def number_changes(old: str, new: str) -> str:
-    """How the numbers of a rewritten file moved: the count that changed, the
-    count that became exact zeros, and the largest absolute and relative change
-    of the rest (relative to the larger magnitude)."""
+    """How the numbers of a rewritten file moved: how many changed, how many of
+    those became exact zeros or stayed round-off, and the largest absolute and
+    relative change (relative to the larger magnitude) of the rest."""
     a, b = NUMBER.findall(old), NUMBER.findall(new)
     if NUMBER.sub("#", old) != NUMBER.sub("#", new):
         return "layout changed; numbers not compared"
     pairs = [(float(x), float(y)) for x, y in zip(a, b) if x != y]
     zeroed = sum(y == 0.0 for _, y in pairs)
-    rest = [(x, y) for x, y in pairs if y != 0.0]
+    tiny = sum(y != 0.0 and max(abs(x), abs(y)) < ROUND_OFF for x, y in pairs)
+    rest = [(x, y) for x, y in pairs if max(abs(x), abs(y)) >= ROUND_OFF]
     abs_max = max((abs(y - x) for x, y in rest), default=0.0)
     rel_max = max((abs(y - x) / max(abs(x), abs(y)) for x, y in rest), default=0.0)
-    return (f"{len(pairs)} of {len(a)} numbers changed, {zeroed} to exact 0; "
-            f"largest change of the rest {abs_max:.2g} absolute, {rel_max:.2g} relative")
+    return (f"{len(pairs)} of {len(a)} numbers changed, {zeroed} to exact 0, {tiny} within "
+            f"round-off; largest change of the rest {abs_max:.2g} absolute, "
+            f"{rel_max:.2g} relative")
 
 
 def test_number_changes_report():
-    old = "# L=4\ntime,p0,p1\n0,7.8e-32,1\n1,0.25,0.75\n"
-    new = "# L=4\ntime,p0,p1\n0,0,1\n1,0.25000000000000006,0.75\n"
-    assert number_changes(old, new) == ("2 of 7 numbers changed, 1 to exact 0; largest change "
-                                        "of the rest 5.6e-17 absolute, 2.2e-16 relative")
+    old = "# L=4\ntime,p0,p1\n0,7.8e-32,1\n1,0.25,0.75\n2,3e-33,0.5\n"
+    new = "# L=4\ntime,p0,p1\n0,0,1\n1,0.25000000000000006,0.75\n2,4e-33,0.5\n"
+    assert number_changes(old, new) == (
+        "3 of 10 numbers changed, 1 to exact 0, 1 within round-off; largest change of the rest "
+        "5.6e-17 absolute, 2.2e-16 relative")
     assert number_changes(old, old.replace("p1", "p1,p2")) == "layout changed; numbers not compared"
-
 
 if __name__ == "__main__":
     for name, argv in sorted(COMMANDS.items()):

@@ -8,15 +8,15 @@ pair; there are no separate scalar versions.  They back ``classical``.
 None of the maps takes a boundary-phase argument: the phase
 acts only on the quantum side, so its absence here is structural.
 
-The Harper map and its inverse write straight into the two arrays they
-return: every ufunc runs with ``out=``, and the sine, kick and floor
-values pass through one scratch block of ``2**15`` points per chunk, so
-for a 1-D input no array of its size is made besides the results.  The
-reduction mod 1 is ``x - floor(x)``, which is ``x % 1.0`` bit for bit
-(both round the same exact value); a second pass folds the 1.0 that a
-tiny negative x rounds to back to 0.  A 1-D input of at least
-``CHUNK_POINTS`` points is cut into one contiguous chunk per usable CPU
-(``os.sched_getaffinity`` where the platform has it, else
+Every map writes straight into the arrays it returns: its ufuncs run
+with ``out=``.  In the Harper map and its inverse the sine, kick and
+floor values pass through one scratch block of ``2**15`` points per
+chunk, so for a 1-D input no array of its size is made besides the
+results.  The reduction mod 1 is ``x - floor(x)``, which is ``x % 1.0``
+bit for bit (both round the same exact value); a second pass folds the
+1.0 that a tiny negative x rounds to back to 0.  A 1-D Harper input of
+at least ``CHUNK_POINTS`` points is cut into one contiguous chunk per
+usable CPU (``os.sched_getaffinity`` where the platform has it, else
 ``os.cpu_count()``); the chunks run at once on a module thread pool that
 is started on first use, since numpy's ufuncs release the GIL.  Each
 point's image depends on that point alone, so the result is the same bit
@@ -130,17 +130,37 @@ def _drift_kick(a, b, c1, c2):
 
 
 def rotation_map(q, p):
-    """Rigid anti-clockwise quarter turn: (q, p) -> (1 - p, q) mod 1."""
-    return (1.0 - p) % 1.0, q
+    """Rigid anti-clockwise quarter turn: (q, p) -> (1 - p, q) mod 1.
+
+    Returns a new array for 1 - p and ``q`` itself.
+    """
+    p = np.asarray(p)
+    q_out = np.empty(p.shape, np.result_type(p, 1.0))
+    np.subtract(1.0, p, out=q_out)
+    _mod1(q_out, np.empty_like(q_out))
+    return q_out, q
 
 
 def baker_map(q, p):
     """Baker transformation: stretch in q, stack in p.
 
-    (2q, p/2) on the left half q < 1/2, else (2q - 1, (p+1)/2).
+    (2q, p/2) on the left half q < 1/2, else (2q - 1, (p+1)/2).  Both
+    halves are computed in one pass through a step array that is 0 on the
+    left, bit for bit the branchwise values.
     """
-    left = q < 0.5
-    return np.where(left, 2.0 * q, 2.0 * q - 1.0), np.where(left, 0.5 * p, 0.5 * (p + 1.0))
+    q, p = np.asarray(q), np.asarray(p)
+    if q.shape != p.shape:
+        q, p = np.broadcast_arrays(q, p)
+    dtype = np.result_type(q, p, 1.0)
+    # 1.0 on the right half, NaN included since it is not q < 1/2, and 0.0 on the left;
+    # x - (+0.0) is x bit for bit, -0.0 included, so the left half is left as it is
+    step = np.logical_not(q < 0.5, out=np.empty(q.shape, dtype))
+    q_out = np.multiply(q, 2.0, out=np.empty(q.shape, dtype))
+    q_out -= step  # 2q - 1 or 2q
+    np.subtract(0.0, step, out=step)  # -1.0 or +0.0
+    p_out = np.subtract(p, step, out=np.empty(p.shape, dtype))  # p + 1 or p
+    p_out *= 0.5
+    return q_out, p_out
 
 
 def harper_map(q, p, g, tau=1.0):

@@ -180,6 +180,52 @@ def test_harper_maps_bitwise_on_edge_values(g, tau):
     assert_bitwise(harper_map(0.3, EDGE, g, tau), reference_harper(0.3, EDGE, g, tau))
 
 
+def reference_rotation(q, p):
+    """The rotation map as first written, with float %."""
+    return (1.0 - p) % 1.0, q
+
+
+def reference_baker(q, p):
+    """The baker map as first written, with np.where."""
+    left = q < 0.5
+    return np.where(left, 2.0 * q, 2.0 * q - 1.0), np.where(left, 0.5 * p, 0.5 * (p + 1.0))
+
+
+#: Any double that doubles without overflow, or a NaN.
+COORDINATE = st.one_of(st.floats(-1e300, 1e300), st.just(np.nan))
+
+
+def assert_bitwise_any_nan(got, want):
+    """``assert_bitwise``, except that a NaN matches a NaN of either sign."""
+    for x, y in zip(got, want, strict=True):
+        assert type(x) is type(y)
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.dtype == y.dtype and x.shape == y.shape
+        nan = np.isnan(y)
+        assert np.array_equal(np.isnan(x), nan)
+        assert x[~nan].tobytes() == y[~nan].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(COORDINATE, COORDINATE), min_size=1, max_size=40))
+def test_rotation_and_baker_bitwise_equal_reference(points):
+    q, p = (np.array(x) for x in zip(*points))
+    assert_bitwise_any_nan(rotation_map(q, p), reference_rotation(q, p))
+    assert rotation_map(q, p)[1] is q
+    assert_bitwise_any_nan(baker_map(q, p), reference_baker(q, p))
+
+
+def test_rotation_and_baker_bitwise_on_edge_values():
+    q, p = (x.ravel() for x in np.meshgrid(EDGE, EDGE))
+    for qs, ps in ((q, p), (q.reshape(16, 16), p.reshape(16, 16))):
+        assert_bitwise(rotation_map(qs, ps), reference_rotation(qs, ps))
+        assert_bitwise(baker_map(qs, ps), reference_baker(qs, ps))
+    for q0, p0 in zip(q, p):  # scalars give 0-d arrays of the same values
+        assert np.asarray(rotation_map(q0, p0)[0]).tobytes() == \
+            np.asarray(reference_rotation(q0, p0)[0]).tobytes()
+        assert_bitwise(baker_map(q0, p0), reference_baker(q0, p0))
+
+
 @pytest.mark.parametrize("q, p", [(0.3, 0.0), (0.5, 0.25), (-1e-17, 0.0), (-0.0, 0.5), (2, 1)])
 def test_harper_maps_bitwise_on_scalars(q, p):
     assert_bitwise(harper_map(q, p, 1.7, 1.0), reference_harper(q, p, 1.7, 1.0))

@@ -314,11 +314,6 @@ def _render_csv(params: dict, header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_number(x) -> str:
-    """A number spelled as ``json.dumps`` spells it, non-finite floats included."""
-    return int.__repr__(x) if isinstance(x, int) else json.dumps(float(x))
-
-
 def _render_json(params: dict, header: list[str], rows: list[list]) -> str:
     """The text of ``json.dumps({"params": ..., "records": ...}, indent=1)`` for
     rows of Python ints and floats, without passing the records through json."""
@@ -330,11 +325,12 @@ def _render_json(params: dict, header: list[str], rows: list[list]) -> str:
     def record(specs: list[str]) -> str:
         return "  {\n" + ",\n".join(f"   {k}: {s}" for k, s in zip(keys, specs)) + "\n  }"
 
-    # %d and %r spell finite ints and floats as json does; json's NaN/Infinity need a slow path
+    # %d and %r spell finite ints and floats as json does; a row with NaN or an
+    # infinity, which json spells NaN/Infinity, goes through json.dumps cell by cell
     lines = _formatted_rows(rows, {int: "%d", float: "%r"}, record)
     for i, row in enumerate(rows):
         if not math.isfinite(sum(row)):
-            lines[i] = record(["%s"] * len(row)) % tuple(map(_json_number, row))
+            lines[i] = record(["%s"] * len(row)) % tuple(map(json.dumps, row))
     return head[:-len("[]\n}")] + "[\n" + ",\n".join(lines) + "\n ]\n}\n"
 
 

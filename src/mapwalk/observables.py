@@ -17,8 +17,9 @@ for every coin shipped here.  Three summary statistics condense p_l(t):
 
 ``run_time_series`` produces all three at every time step in a single
 pass over the evolution.  The M coin-state evolutions are batched into
-one stacked matrix product per step: the bundle holds E_k^t, one M x M
-block per lattice momentum k.  At time t the walker can only be on the
+one GEMM per step: the bundle holds (E_k^t)^T, one M x M block per
+lattice momentum k whose rows are the evolved coin-basis starts |0, b>.
+At time t the walker can only be on the
 sites -t..t (the light cone), so the site transform inverse-FFTs only as
 many momenta as the cone needs and writes exact zeros elsewhere.  The
 reduction order is fixed, so repeated runs are bit-identical.  Classical
@@ -114,9 +115,9 @@ def participation_ratio(dist: SiteDistribution) -> float:
 def _initial_bundle(L: int, M: int) -> NDArray[np.complex128]:
     """E_k^0 = 1 in every momentum sector, stacked.
 
-    Shape (L, M, M): axis 0 is lattice momentum, axis 1 the coin row,
-    axis 2 indexes which initial coin state |0, b> the column belongs to.
-    Stepping keeps E_k^t here, and the inverse FFT (with its 1/L) turns
+    Shape (L, M, M): axis 0 is lattice momentum, axis 1 indexes which
+    initial coin state |0, b> the row belongs to, axis 2 the coin index a.
+    Stepping keeps (E_k^t)^T here, and the inverse FFT (with its 1/L) turns
     that into the site amplitudes <l, a|E^t|0, b>.
     """
     return np.broadcast_to(np.eye(M, dtype=np.complex128), (L, M, M)).copy()
@@ -128,7 +129,7 @@ def _cone_length(L: int, t: int) -> int:
 
 
 def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int) -> NDArray[np.float64]:
-    """Coin-averaged site probabilities of the bundle E_k^t, transforming only the light cone.
+    """Coin-averaged site probabilities of the bundle (E_k^t)^T, transforming only the light cone.
 
     The walker is on the sites -t..t at time t.  The length-N inverse FFT of
     every (L/N)-th momentum gives each site's amplitude summed with those of
@@ -156,7 +157,7 @@ def _bundle_states(blocks: MomentumBlockSet) -> Iterator[NDArray[np.complex128]]
     psi = _initial_bundle(blocks.L, blocks.M)
     while True:
         yield psi
-        psi = _apply_blocks(blocks.blocks, psi)
+        psi = _apply_blocks(blocks, psi)
 
 
 def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:

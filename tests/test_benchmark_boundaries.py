@@ -3,11 +3,17 @@
 ``perfbench/tracing.py`` wraps each ``(owner, attribute)`` of its
 ``boundaries()`` list in place.  Deleting or renaming one of them breaks
 the benchmark run, so this test fails first, naming every missing one.
+The traced run reads the wrapped calls' arguments too (their shapes give
+the flop counts), so a small walk is also run under the tracer.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+from mapwalk import observables
+from mapwalk.coins import CoinSpec, dft_coin
+from mapwalk.walk import WalkConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,3 +36,20 @@ def test_every_traced_boundary_is_bound():
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in boundaries if attr not in vars(owner)]
     assert missing == []
+
+
+def test_traced_walk_meets_the_benchmark_call_counts():
+    L, M, T = 16, 4, 3
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        observables.run_time_series(WalkConfig(L=L, coin=CoinSpec("dft", M)), T,
+                                    keep_distributions=True, U=dft_coin(M))
+    finally:
+        tracer.uninstall()
+    expected = {"walk.blocks": 1, "observables.series": 1, "walk.step": T,
+                "observables.site_transform": T + 1, "observables.dist_check": T + 1,
+                "observables.stats": 3 * (T + 1)}
+    assert tracer.call_count_failures(expected) == []
+    steps = [span for span in tracer.spans if span.name == "walk.step"]
+    assert [span.counts["flop"] for span in steps] == [8 * L * M**3] * T

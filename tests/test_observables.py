@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mapwalk.coins import CoinSpec, coin_matrix
-from mapwalk.walk import WalkConfig, build_dense, build_momentum_blocks, momentum_to_site
+from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, momentum_to_site,
+                          _apply_blocks)
 from mapwalk.observables import (SiteDistribution, WalkTimeSeries,
                                  site_probabilities, msd, site_entropy,
                                  participation_ratio, run_time_series,
@@ -87,9 +88,9 @@ def test_coin_basis_independence_of_distribution():
     V = V * np.exp(-1j * np.angle(np.diag(r)))[None, :]
 
     reference = site_probabilities(blocks, 8).probs
-    psi = np.broadcast_to(V / np.sqrt(L), (L, 4, 4)).copy()
+    psi = np.broadcast_to(V.T / np.sqrt(L), (L, 4, 4)).copy()  # rows are the starts
     for _ in range(8):
-        psi = np.matmul(blocks.blocks, psi)
+        psi = _apply_blocks(blocks, psi)
     rotated = (np.abs(momentum_to_site(psi)) ** 2).sum(axis=(1, 2)) / 4
     np.testing.assert_allclose(rotated, reference, atol=TOL)
 

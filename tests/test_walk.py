@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mapwalk.coins import CoinSpec, coin_matrix, dft_coin
+from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix, dft_coin
 from mapwalk.observables import _bundle_states, site_probabilities
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, _apply_blocks,
                           momentum_to_site)
@@ -29,16 +29,21 @@ def coin_averaged_probs_dense(E, L, M, t):
 
 
 def momentum_column(L, M, coin):
-    """|site 0> x |coin> in the momentum basis, as an (L, M, 1) column for _apply_blocks."""
-    psi = np.zeros((L, M, 1), dtype=complex)
-    psi[:, coin, 0] = 1.0 / np.sqrt(L)
+    """|site 0> x |coin> in the momentum basis, as an (L, 1, M) row for _apply_blocks."""
+    psi = np.zeros((L, 1, M), dtype=complex)
+    psi[:, 0, coin] = 1.0 / np.sqrt(L)
     return psi
 
 
 def step_column(blocks, psi, steps):
     for _ in range(steps):
-        psi = _apply_blocks(blocks.blocks, psi)
+        psi = _apply_blocks(blocks, psi)
     return psi
+
+
+def block(blocks, k):
+    """E_k = D_k U, the block the factored set stands for."""
+    return blocks.phases[k][:, None] * blocks.coin
 
 
 def test_dense_single_step_hand_computed():
@@ -86,15 +91,50 @@ def test_block_k0_equals_coin():
     config = WalkConfig(L=7, coin=CoinSpec("dft", 4))
     U = dft_coin(4)
     blocks = build_momentum_blocks(config, U)
-    np.testing.assert_allclose(blocks.blocks[0], U, atol=1e-14)
+    np.testing.assert_allclose(block(blocks, 0), U, atol=1e-14)
 
 
 @pytest.mark.parametrize("coin", ALL_COINS)
 def test_blocks_unitary(coin):
     blocks = build_momentum_blocks(WalkConfig(L=9, coin=coin), coin_matrix(coin))
     for k in range(9):
-        B = blocks.blocks[k]
+        B = block(blocks, k)
         assert np.max(np.abs(B.conj().T @ B - np.eye(coin.M))) < TOL
+
+
+def test_block_phases_are_exact_at_k0_and_unimodular():
+    for L, M in [(2, 2), (9, 4), (400, 64)]:
+        blocks = build_momentum_blocks(WalkConfig(L=L, coin=CoinSpec("dft", M)), dft_coin(M))
+        assert blocks.shape == (L, M, M)
+        assert np.array_equal(blocks.phases[0], np.ones(M))
+        assert np.max(np.abs(np.abs(blocks.phases) - 1.0)) < 1e-15
+        assert not blocks.coin.flags.writeable and not blocks.phases.flags.writeable
+
+
+def step_coins(M):
+    """dft, harper and baker coins of dimension M, and a vertical-partition coin."""
+    harper = CoinSpec("harper", M, g=2.0, phi=0.2)
+    return {"dft": dft_coin(M), "harper": coin_matrix(harper),
+            "baker": coin_matrix(CoinSpec("baker", M)),
+            "vertical": coin_in_position_basis(coin_matrix(harper), harper.resolved_phi)}
+
+
+@pytest.mark.parametrize("M", [2, 4, 64])
+@pytest.mark.parametrize("kind", ["dft", "harper", "baker", "vertical"])
+def test_apply_blocks_matches_stacked_product(kind, M):
+    # oracle: the materialized stack D_k U times the columns, i.e. the rows transposed
+    U = step_coins(M)[kind]
+    rng = np.random.default_rng(M)
+    for L in (2, 3, 9, 400):
+        blocks = build_momentum_blocks(WalkConfig(L=L, coin=CoinSpec("dft", M)), U)
+        stack = blocks.phases[:, :, None] * U
+        for R in (1, M):
+            psi = rng.normal(size=(L, R, M)) + 1j * rng.normal(size=(L, R, M))
+            psi /= np.linalg.norm(psi, axis=2, keepdims=True)
+            want = np.matmul(stack, psi.transpose(0, 2, 1)).transpose(0, 2, 1)
+            got = _apply_blocks(blocks, psi)
+            assert got.shape == (L, R, M)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])
@@ -126,7 +166,7 @@ def test_evolve_hadamard_one_step_support():
     config = WalkConfig(L=100, coin=CoinSpec("dft", 2))
     blocks = build_momentum_blocks(config, dft_coin(2))
     site = momentum_to_site(step_column(blocks, momentum_column(100, 2, 0), 1))
-    support = set(np.nonzero((np.abs(site[:, :, 0]) ** 2).sum(axis=1) > 1e-20)[0])
+    support = set(np.nonzero((np.abs(site[:, 0, :]) ** 2).sum(axis=1) > 1e-20)[0])
     assert support == {1, 99}
 
 
@@ -189,7 +229,7 @@ def test_amplitude_agrees_across_representations():
     U = coin_matrix(config.coin)
     blocks = build_momentum_blocks(config, U)
     E = build_dense(config, U)
-    mom = step_column(blocks, momentum_column(8, 4, 1), 7)[:, :, 0]
+    mom = step_column(blocks, momentum_column(8, 4, 1), 7)[:, 0, :]
     dense = np.zeros(8 * 4, dtype=complex)
     dense[0 * 4 + 1] = 1.0
     for _ in range(7):

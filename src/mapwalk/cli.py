@@ -19,8 +19,9 @@ Configuration is a flat ``key = value`` file (``--config``) keyed by the
 flag names, command-line flags taking precedence.  Output is CSV or JSON
 with the resolved parameter set echoed in the metadata; numbers carry
 full double precision so downstream comparisons stay exact.  Exit codes:
-0 success, 2 configuration error, 1 runtime error.  Output files are
-written atomically; a failing run leaves no partial file.
+0 success, 2 configuration error, 1 runtime error (naming the swept values
+of a failing sweep combination).  Output files are written atomically; a
+failing run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ SWEEPABLE = tuple(dict.fromkeys(sum((*COIN_SWEEPS.values(), *MAP_SWEEPS.values()
 
 class ConfigError(Exception):
     """Invalid configuration; message names the offending field."""
+
+
+class CombinationError(Exception):
+    """A sweep combination failed at run time; message names its swept values."""
 
 
 @dataclass(frozen=True)
@@ -268,11 +273,22 @@ def _series_rows(series: WalkTimeSeries, prefix: list) -> list[list]:
 
 def _run_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list]]:
     runs = _validate_settings(s)
+
+    def series(run: tuple) -> WalkTimeSeries:
+        combo, config, cell_map = run
+        try:
+            return _single_series(s, config, cell_map)
+        except (ValueError, OSError, MemoryError) as exc:
+            if not s.sweep:
+                raise
+            values = " ".join(f"{name}={v}" for (name, _), v in zip(s.sweep, combo))
+            raise CombinationError(f"{values}: {exc}") from exc
+
     if len(runs) == 1:
-        results = [_single_series(s, *runs[0][1:])]
+        results = [series(runs[0])]
     else:
         with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(lambda run: _single_series(s, *run[1:]), runs))
+            results = list(pool.map(series, runs))
     header = [name for name, _ in s.sweep] + ["time", "msd", "entropy", "pr"]
     if s.emit_distributions:
         header += [f"p{l}" for l in range(s.L)]
@@ -394,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, MemoryError) as exc:
+    except (CombinationError, ValueError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

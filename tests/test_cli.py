@@ -382,6 +382,31 @@ def test_allocation_failure_is_a_runtime_error_leaving_no_file(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, failing, label", [
+    (["--coin", "dft", "--sweep", "M=2,2000000"], {"M": 2000000}, "M=2000000"),
+    (["--coin", "harper", "--M", "4", "--sweep", "g=0.5,2", "--sweep", "phi=0,0.2"],
+     {"g": 2.0, "phi": 0.2}, "g=2.0 phi=0.2"),
+])
+def test_failing_sweep_combination_names_itself_leaving_no_file(tmp_path, capsys, monkeypatch,
+                                                                 argv, failing, label):
+    # the failure is simulated in one combination; the others run
+    message = "Unable to allocate 29.1 TiB for an array with shape (2000000, 2000000)"
+    build = cli.coin_matrix
+
+    def fail_one(spec):
+        if all(getattr(spec, name) == value for name, value in failing.items()):
+            raise MemoryError(message)
+        return build(spec)
+
+    monkeypatch.setattr(cli, "coin_matrix", fail_one)
+    code, out, err = run_cli(capsys, "sweep", "--L", "10", "--t-max", "1", *argv,
+                             "--out", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert out == ""
+    assert err == f"runtime error: {label}: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_classical_sweep_above_chunk_size_matches_single_runs(capsys, monkeypatch):
     # the sweep pool and harper_map's chunk pool run at the same time
     monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)

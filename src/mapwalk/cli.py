@@ -17,8 +17,9 @@ phase-space
 
 Configuration is a flat ``key = value`` file (``--config``) keyed by the
 flag names, command-line flags taking precedence.  Output is CSV or JSON
-with the resolved parameter set echoed in the metadata; numbers carry
-full double precision so downstream comparisons stay exact.  Exit codes:
+with the parameters that apply to the run echoed in the metadata, and as
+``ignored`` the names of those given that do not; numbers carry full
+double precision so downstream comparisons stay exact.  Exit codes:
 0 success, 2 configuration error, 1 runtime error (naming the swept values
 of a failing sweep combination).  Output files are written atomically; a
 failing run leaves no partial file.
@@ -175,10 +176,13 @@ def _parse_sweep_expr(expr: str) -> tuple[str, list]:
 
 def _settings(fields: tuple[Field, ...], args: argparse.Namespace,
               file_vals: dict) -> SimpleNamespace:
-    """Each field from the command line, else the config file, else its default."""
-    s = SimpleNamespace()
+    """Each field from the command line, else the config file, else its default;
+    ``given`` names the fields set by either."""
+    s = SimpleNamespace(given=set())
     for f in fields:
         given = getattr(args, f.attr)
+        if given is not None or f.name in file_vals:
+            s.given.add(f.name)
         if f.type is list:  # sweeps from the file and the command line all apply
             value = file_vals.get(f.name, []) + [_parse_sweep_expr(e) for e in given or ()]
         else:
@@ -201,12 +205,27 @@ def _merge_settings(args: argparse.Namespace) -> SimpleNamespace:
     return _settings(RUN_FIELDS, args, file_vals)
 
 
+def _map_uses(kind: str) -> tuple[str, ...]:
+    """The parameters a classical cell map of this kind uses."""
+    return MAP_SWEEPS[kind] + ("tau",) * (kind == "harper")
+
+
+def _applying(s: SimpleNamespace) -> set[str]:
+    """The ``run``/``sweep`` fields that take effect: what the coin uses (or, with
+    ``--classical``, the map and its seeded ensemble), and the walk's own settings."""
+    if s.classical:
+        uses = _map_uses(s.classical) + ("seed", "n-points")
+    else:
+        uses = (("coin",) + COIN_SWEEPS[s.coin] + ("tau",) * (s.coin == "harper")
+                + ("phi",) * (s.partition == "vertical"))
+    return {*uses, "t-max", "partition", "classical", "emit-distributions", "sweep"}
+
+
 def _validate_settings(s: SimpleNamespace) -> list[tuple[tuple, WalkConfig, CellMap | None]]:
     """The single validation point of ``run``/``sweep`` settings: the swept
     values, walk config and (classical) cell map of every sweep combination."""
     _check_fields(RUN_FIELDS, s)
-    uses = (MAP_SWEEPS[s.classical] if s.classical else
-            COIN_SWEEPS[s.coin] + ("phi",) * (s.partition == "vertical"))
+    uses = _applying(s)
     names = [name for name, _ in s.sweep]
     for name, values in s.sweep:
         if names.count(name) > 1:
@@ -249,14 +268,24 @@ def _fmt(x) -> str:
     return str(x) if isinstance(x, int) else f"{x:.17g}"
 
 
+def _echoed(fields: tuple[Field, ...], s: SimpleNamespace, applying: set[str]) -> dict:
+    """The settings that apply, in table order, then as ``ignored`` the names of
+    those given that do not."""
+    shown = [f for f in fields if f not in (_FORMAT, _OUT)]
+    params = {f.attr: getattr(s, f.attr) for f in shown if f.name in applying}
+    ignored = [f.attr for f in shown if f.name in s.given and f.name not in applying]
+    if ignored:
+        params["ignored"] = ",".join(ignored)
+    return params
+
+
 def _resolved_params(s: SimpleNamespace) -> dict:
-    """The settings echoed in the metadata, in table order."""
-    params = {f.attr: getattr(s, f.attr) for f in RUN_FIELDS if f not in (_FORMAT, _OUT)}
-    params.update(phi="coin-default" if s.phi is None else s.phi,
-                  classical=s.classical or "no",
-                  sweep=" ".join(f"{n}={','.join(_fmt(v) for v in vals)}" for n, vals in s.sweep))
-    if s.classical is None:
-        del params["n_points"]
+    """The settings echoed in the metadata of ``run``/``sweep``."""
+    params = _echoed(RUN_FIELDS, s, _applying(s))
+    if "phi" in params:
+        params["phi"] = "coin-default" if s.phi is None else s.phi
+    params["classical"] = s.classical or "no"
+    params["sweep"] = " ".join(f"{n}={','.join(_fmt(v) for v in vals)}" for n, vals in s.sweep)
     if not s.sweep:
         del params["sweep"]
     return params
@@ -305,7 +334,8 @@ def _phase_space_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     pts = phase_portrait(cmap, s.n_trajectories, s.n_steps, seed=s.seed)
-    params = {f.attr: getattr(s, f.attr) for f in PHASE_SPACE_FIELDS if f not in (_FORMAT, _OUT)}
+    params = _echoed(PHASE_SPACE_FIELDS, s,
+                     {"map", *_map_uses(s.map), "n-trajectories", "n-steps", "seed"})
     return params, ["q", "p"], pts.tolist()
 
 

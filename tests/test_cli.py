@@ -65,9 +65,54 @@ def test_csv_metadata_echoes_parameters(capsys):
                         "--L", "10", "--g", "1.5", "--t-max", "2")
     meta = [ln for ln in out.splitlines() if ln.startswith("#")]
     assert len(meta) == 1
-    for token in ("coin=harper", "M=4", "L=10", "g=1.5", "t_max=2",
-                  "partition=horizontal", "seed=0"):
+    for token in ("coin=harper", "M=4", "L=10", "g=1.5", "tau=1.0", "t_max=2",
+                  "partition=horizontal"):
         assert token in meta[0]
+
+
+def metadata(out):
+    """The echoed settings of a CSV output, as a dict of strings."""
+    return dict(token.split("=", 1) for token in out.splitlines()[0][2:].split(" "))
+
+
+@pytest.mark.parametrize("argv, echoed, ignored", [
+    (["--coin", "dft", "--g", "2", "--tau", "3"], {"coin", "M", "L"}, "g,tau"),
+    (["--coin", "dft", "--partition", "vertical", "--seed", "3"], {"coin", "M", "L", "phi"},
+     "seed"),
+    (["--coin", "baker", "--n-points", "7"], {"coin", "M", "L", "phi"}, "n_points"),
+    (["--coin", "harper"], {"coin", "M", "L", "g", "tau", "phi"}, None),
+    (["--classical", "rotation", "--coin", "harper", "--M", "8"], {"L", "seed", "n_points"},
+     "coin,M"),
+    (["--classical", "harper", "--phi", "0.2", "--g", "2"],
+     {"L", "g", "tau", "seed", "n_points"}, "phi"),
+])
+def test_metadata_echoes_only_the_parameters_that_apply(capsys, argv, echoed, ignored):
+    code, out, _ = run_cli(capsys, "run", "--L", "10", "--t-max", "1", *argv)
+    assert code == 0
+    meta = metadata(out)
+    always = {"t_max", "partition", "classical", "emit_distributions"}
+    assert set(meta) == echoed | always | ({"ignored"} if ignored else set())
+    assert meta.get("ignored") == ignored
+
+
+def test_parameters_ignored_from_the_config_file_are_named(tmp_path, capsys):
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text("coin = dft\nseed = 4\nphi = 0.3\n")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg), "--L", "10", "--t-max", "1",
+                           "--g", "1", "--format", "json")
+    assert code == 0
+    params = json.loads(out)["params"]
+    assert params["ignored"] == "g,phi,seed"
+    assert not {"g", "phi", "seed"} & set(params)
+
+
+def test_phase_space_metadata_echoes_only_the_map_parameters(capsys):
+    _, out, _ = run_cli(capsys, "phase-space", "--map", "baker", "--g", "2", *_SMALL_PORTRAIT)
+    assert metadata(out) == {"map": "baker", "n_trajectories": "2", "n_steps": "3", "seed": "0",
+                             "ignored": "g"}
+    _, out, _ = run_cli(capsys, "phase-space", "--map", "harper", *_SMALL_PORTRAIT)
+    assert metadata(out) == {"map": "harper", "g": "1.0", "tau": "1.0", "n_trajectories": "2",
+                             "n_steps": "3", "seed": "0"}
 
 
 def test_json_mirrors_csv_numbers(capsys):

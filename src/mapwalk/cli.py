@@ -273,10 +273,8 @@ def _echoed(fields: tuple[Field, ...], s: SimpleNamespace, applying: set[str]) -
     those given that do not."""
     shown = [f for f in fields if f not in (_FORMAT, _OUT)]
     params = {f.attr: getattr(s, f.attr) for f in shown if f.name in applying}
-    ignored = [f.attr for f in shown if f.name in s.given and f.name not in applying]
-    if ignored:
-        params["ignored"] = ",".join(ignored)
-    return params
+    ignored = ",".join(f.attr for f in shown if f.name in s.given - applying)
+    return {**params, "ignored": ignored} if ignored else params
 
 
 def _resolved_params(s: SimpleNamespace) -> dict:

@@ -19,11 +19,10 @@ for every coin shipped here.  Three summary statistics condense p_l(t):
 pass over the evolution.  The M coin-state evolutions are batched into
 one GEMM per step: the bundle holds (E_k^t)^T, one M x M block per
 lattice momentum k whose rows are the evolved coin-basis starts |0, b>.
-At time t the walker can only be on the
-sites -t..t (the light cone), so the site transform inverse-FFTs only as
-many momenta as the cone needs and writes exact zeros elsewhere.  The
-reduction order is fixed, so repeated runs are bit-identical.  Classical
-ensembles share the loop.
+At time t the walker can only be on the sites -t..t (the light cone), so
+the site transform inverse-FFTs only as many momenta as the cone needs
+and writes exact zeros elsewhere.  The reduction order is fixed, so
+repeated runs are bit-identical.  Classical ensembles share the loop.
 """
 
 from __future__ import annotations

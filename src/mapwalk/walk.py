@@ -76,19 +76,11 @@ class WalkConfig:
 
 @dataclass(frozen=True)
 class MomentumBlockSet:
-    """The L unitary M x M blocks E_k = D_k U of the walk operator, kept factored.
+    """The L unitary M x M blocks E_k = D_k U of the walk operator, kept factored:
+    the coin U (M, M) and the diagonals of the D_k, ``phases`` (L, M)."""
 
-    ``coin`` is U (M, M) and ``phases`` (L, M) holds the diagonal of each D_k;
-    the (L, M, M) stack of products is never formed.
-    """
-
-    coin: NDArray[np.complex128]  # shape (M, M)
-    phases: NDArray[np.complex128]  # shape (L, M)
-
-    def __post_init__(self) -> None:
-        M = self.phases.shape[1]
-        if self.coin.shape != (M, M):
-            raise ValueError(f"coin shape {self.coin.shape} != {(M, M)}")
+    coin: NDArray[np.complex128]
+    phases: NDArray[np.complex128]
 
     @property
     def L(self) -> int:
@@ -100,11 +92,8 @@ class MomentumBlockSet:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(L, M, M), the shape of the operator stack the set stands for.
-
-        perfbench's step count reads it: its 8*L*M^2*R flop for R rows per
-        sector are exactly those of the GEMM in ``_apply_blocks``.
-        """
+        """(L, M, M), the operator stack the set stands for.  perfbench's step count reads
+        it: its 8*L*M^2*R flop for R rows per sector are exactly the GEMM's."""
         return (self.L, self.M, self.M)
 
 
@@ -164,7 +153,7 @@ def _apply_blocks(blocks: MomentumBlockSet,
     """One step of all momentum sectors at once: psi (L, R, M) holds R row states per sector.
 
     Every row is multiplied by U^T in a single GEMM over all L*R rows, then by
-    its sector's phases; row r of sector k becomes (E_k psi[k, r])^T.
+    its sector's phases, so row r of sector k becomes E_k psi[k, r].
     """
     L, R, M = psi.shape
     out = (psi.reshape(L * R, M) @ blocks.coin.T).reshape(L, R, M)

@@ -11,23 +11,25 @@ acts only on the quantum side, so its absence here is structural.
 Every map writes straight into the arrays it returns: its ufuncs run
 with ``out=``.  In the Harper map and its inverse the sine, kick and
 floor values pass through one scratch block of ``2**15`` points per
-chunk, so for a 1-D input no array of its size is made besides the
-results.  The reduction mod 1 is ``x - floor(x)``, which is ``x % 1.0``
-bit for bit (both round the same exact value); a second pass folds the
-1.0 that a tiny negative x rounds to back to 0.  A 1-D Harper input of
-at least ``CHUNK_POINTS`` points is cut into one contiguous chunk per
-usable CPU (``os.sched_getaffinity`` where the platform has it, else
-``os.cpu_count()``); the chunks run at once on a module thread pool that
-is started on first use, since numpy's ufuncs release the GIL.  Each
-point's image depends on that point alone, so the result is the same bit
-for bit however the input is chunked.
+chunk, so for a 1-D or contiguous input no array of its size is made
+besides the results.  The reduction mod 1 is ``x - floor(x)``, which is
+``x % 1.0`` bit for bit (both round the same exact value); a second pass
+folds the 1.0 that a tiny negative x rounds to back to 0.  A Harper
+input of at least ``CHUNK_POINTS`` points is flattened and cut into one
+contiguous chunk per usable CPU (``os.sched_getaffinity`` where the
+platform has it, else ``os.cpu_count()``); the chunks run at once through
+``parallel_map``, since numpy's ufuncs release the GIL.  Each point's
+image depends on that point alone, so the result is the same bit for bit
+however the input is chunked.
+
+``parallel_map`` is the package's only source of threads (the CLI's sweep
+combinations run through it too); each call starts and joins its own.
 """
 
 from __future__ import annotations
 
 import contextvars
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,14 +41,11 @@ __all__ = [
     "harper_inverse_map",
 ]
 
-#: 1-D inputs with at least this many points are split into one chunk per usable CPU.
+#: Inputs with at least this many points are split into one chunk per usable CPU.
 CHUNK_POINTS = 2**16
 #: Points per scratch block; a block of every array the kernel touches stays in cache.
 _BLOCK = 2**15
 _TWO_PI = 2.0 * np.pi
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 def _usable_cpus() -> int:
@@ -55,24 +54,28 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_pool() -> ThreadPoolExecutor:
-    """The worker threads of the chunked maps: one per usable CPU but the caller's."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=max(1, _usable_cpus() - 1),
-                                       thread_name_prefix="mapwalk-cellmaps")
-        return _pool
+def parallel_map(fn, items) -> list:
+    """``[fn(x) for x in items]`` in item order, on the calling thread plus up to one
+    thread per further usable CPU; the threads are this call's own, so calls may nest.
 
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    Each job runs in a copy of the caller's context, so ``np.errstate`` carries over.
+    The caller runs item 0, then each later item whose job has not started yet.  The
+    first failure in item order propagates, and the jobs not yet started are dropped.
+    """
+    items = list(items)
+    workers = min(len(items), _usable_cpus()) - 1
+    if workers < 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        jobs = [pool.submit(contextvars.copy_context().run, fn, x) for x in items[1:]]
+        try:
+            results = [fn(items[0])]
+            for x, job in zip(items[1:], jobs):
+                results.append(fn(x) if job.cancel() else job.result())
+        finally:
+            for job in jobs:
+                job.cancel()
+    return results
 
 
 def _mod1(x, scratch) -> None:
@@ -111,21 +114,12 @@ def _drift_kick(a, b, c1, c2):
         a, b = np.broadcast_arrays(a, b)
     dtype = np.result_type(a, b, 1.0)
     a_out, b_out = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
-    if a.ndim != 1:  # scalars and n-d arrays: one pass with a scratch of their shape
-        _drift_kick_kernel(a, b, c1, c2, a_out, b_out, np.empty(a.shape, dtype))
-        return a_out, b_out
-    n = len(a)
+    # every shape runs flat; the fresh results flatten to views of themselves
+    flat = a.reshape(-1), b.reshape(-1), c1, c2, a_out.reshape(-1), b_out.reshape(-1)
+    n = a.size
     chunks = _usable_cpus() if n >= CHUNK_POINTS else 1
     bounds = [n * i // chunks for i in range(chunks + 1)]
-    # each job runs in a copy of the caller's context, so np.errstate carries over
-    jobs = [_chunk_pool().submit(contextvars.copy_context().run, _drift_kick_blocks,
-                                 a, b, c1, c2, a_out, b_out, lo, hi)
-            for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        _drift_kick_blocks(a, b, c1, c2, a_out, b_out, bounds[0], bounds[1])
-    finally:
-        for job in jobs:
-            job.result()
+    parallel_map(lambda lo_hi: _drift_kick_blocks(*flat, *lo_hi), zip(bounds, bounds[1:]))
     return a_out, b_out
 
 

@@ -10,7 +10,8 @@ sweep
     Same as ``run`` with at least one ``--sweep NAME=v1,v2,...`` over a
     parameter the coin or map uses; records carry the swept values as
     leading columns, ordered by sweep value, then time.  Runs execute
-    concurrently; output assembly is serialized and deterministic.
+    concurrently on up to one thread per usable CPU, the caller's
+    included; output assembly is serialized and deterministic.
 phase-space
     Iterate seeded trajectories of a classical cell map and emit the
     visited (q, p) pairs, one record per point.
@@ -31,13 +32,13 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from types import SimpleNamespace
 
+from .cellmaps import parallel_map
 from .coins import COIN_KINDS, CoinSpec, coin_matrix, coin_in_position_basis
 from .walk import WalkConfig
 from .observables import run_time_series, WalkTimeSeries
@@ -311,11 +312,7 @@ def _run_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list]]:
             values = " ".join(f"{name}={v}" for (name, _), v in zip(s.sweep, combo))
             raise CombinationError(f"{values}: {exc}") from exc
 
-    if len(runs) == 1:
-        results = [series(runs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(series, runs))
+    results = parallel_map(series, runs)
     header = [name for name, _ in s.sweep] + ["time", "msd", "entropy", "pr"]
     if s.emit_distributions:
         header += [f"p{l}" for l in range(s.L)]
@@ -382,11 +379,15 @@ def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mapwalk-", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(out)),
+                       f".mapwalk-{os.urandom(8).hex()}.tmp")
+    # mode 0o666 less the umask, as open(out, "w") would create it; mkstemp's is 0o600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        if os.path.exists(out):  # an existing file keeps its mode, as with open(out, "w")
+            shutil.copymode(out, tmp)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):

@@ -3,6 +3,8 @@
 import inspect
 import multiprocessing
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -255,11 +257,19 @@ def test_chunked_equals_unchunked(monkeypatch):
     q, p = rng.random(n), rng.random(n)
     want = reference_harper(q, p, 2.3, 1.0)
     want_inverse = reference_harper_inverse(q, p, 2.3, 1.0)
+    threads = set()
+    blocks = cellmaps._drift_kick_blocks
+
+    def recording_blocks(*args):
+        threads.add(threading.get_ident())
+        blocks(*args)
+
+    monkeypatch.setattr(cellmaps, "_drift_kick_blocks", recording_blocks)
     for cpus in (1, 2, 3, 5):
         monkeypatch.setattr(cellmaps, "_usable_cpus", lambda cpus=cpus: cpus)
         assert_bitwise(harper_map(q, p, 2.3, 1.0), want)
         assert_bitwise(harper_inverse_map(q, p, 2.3, 1.0), want_inverse)
-    assert cellmaps._pool is not None  # the chunks did run on the thread pool
+    assert len(threads) > 1  # the chunks did run on more than one thread
 
 
 @pytest.mark.parametrize("state, raises", [("raise", FloatingPointError), ("ignore", None)])
@@ -283,13 +293,62 @@ def _map_in_child():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_chunked_map_runs_in_a_forked_child(monkeypatch):
-    # the child inherits the started pool object but not its threads
+    # the parent has run chunked maps on threads before it forks
     monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
     _map_in_child()
-    assert cellmaps._pool is not None
     child = multiprocessing.get_context("fork").Process(target=_map_in_child)
     child.start()
     child.join(timeout=60)
     if child.is_alive():
         child.kill()
     assert child.exitcode == 0
+
+
+def test_parallel_map_returns_results_in_item_order(monkeypatch):
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 3)
+    assert cellmaps.parallel_map(lambda x: x * x, range(10)) == [x * x for x in range(10)]
+    assert cellmaps.parallel_map(lambda x: x, []) == []
+
+
+@pytest.mark.parametrize("cpus, items", [(4, [7]), (1, [7, 8, 9])])
+def test_parallel_map_without_workers_runs_inline(monkeypatch, cpus, items):
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: cpus)
+    caller, before = threading.get_ident(), threading.active_count()
+
+    def where(x):
+        assert threading.active_count() == before  # no thread was started
+        return x, threading.get_ident()
+
+    assert cellmaps.parallel_map(where, items) == [(x, caller) for x in items]
+
+
+def test_parallel_map_raises_the_first_failure_in_item_order(monkeypatch):
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 4)
+    before = threading.active_count()
+
+    def fail_odd(x):
+        if x == 1:
+            time.sleep(0.05)  # item 3 fails first in time, item 1 first in order
+        if x % 2:
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="item 1"):
+        cellmaps.parallel_map(fail_odd, range(4))
+    assert threading.active_count() == before  # no thread outlives the call
+
+
+def test_nested_parallel_map_finishes(monkeypatch):
+    # every call owns its threads, so an inner call never waits on the outer one's
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
+    results = []
+
+    def nested():
+        results.append(cellmaps.parallel_map(
+            lambda i: cellmaps.parallel_map(lambda j: 10 * i + j, range(3)), range(3)))
+
+    runner = threading.Thread(target=nested, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "nested parallel_map deadlocked"
+    assert results == [[[10 * i + j for j in range(3)] for i in range(3)]]

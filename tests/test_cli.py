@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -255,6 +257,25 @@ def test_output_file_written_atomically(tmp_path, capsys):
     assert len(rows) == 3
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert not leftovers
+
+
+@pytest.mark.parametrize("umask, existing, mode", [(0o022, None, 0o644), (0o077, None, 0o600),
+                                                   (0o022, 0o600, 0o600)])
+def test_output_file_mode_is_that_of_open(tmp_path, capsys, umask, existing, mode):
+    # a new file gets 0o666 less the umask, an overwritten one keeps its mode
+    out_file = tmp_path / "results.csv"
+    if existing is not None:
+        out_file.write_text("old\n")
+        out_file.chmod(existing)
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "run", "--L", "10", "--t-max", "2", "--out", str(out_file))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(out_file.stat().st_mode) == mode
+    assert out_file.read_text().startswith("#")
+    assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
 
 def test_full_precision_round_trip(capsys):

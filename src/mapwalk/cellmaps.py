@@ -16,18 +16,21 @@ besides the results.  The reduction mod 1 is ``x - floor(x)``, which is
 ``x % 1.0`` bit for bit (both round the same exact value); a second pass
 folds the 1.0 that a tiny negative x rounds to back to 0.  A Harper
 input of at least ``CHUNK_POINTS`` points is flattened and cut into one
-contiguous chunk per usable CPU (``os.sched_getaffinity`` where the
+contiguous chunk per CPU it may use (``os.sched_getaffinity`` where the
 platform has it, else ``os.cpu_count()``); the chunks run at once through
 ``parallel_map``, since numpy's ufuncs release the GIL.  Each point's
 image depends on that point alone, so the result is the same bit for bit
 however the input is chunked.
 
 ``parallel_map`` is the package's only source of threads (the CLI's sweep
-combinations run through it too); each call starts and joins its own.
+combinations run through it too).  Each call starts and joins its own, and
+the calls nested in its w threads share 1/w of its CPUs each, so no more
+threads than usable CPUs are ever alive.
 """
 
 from __future__ import annotations
 
+import collections
 import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -41,14 +44,18 @@ __all__ = [
     "harper_inverse_map",
 ]
 
-#: Inputs with at least this many points are split into one chunk per usable CPU.
+#: Inputs with at least this many points are split into one chunk per CPU they may use.
 CHUNK_POINTS = 2**16
 #: Points per scratch block; a block of every array the kernel touches stays in cache.
 _BLOCK = 2**15
 _TWO_PI = 2.0 * np.pi
+#: The CPUs the calls nested in a ``parallel_map`` item may use; unset outside one.
+_cpu_share: contextvars.ContextVar[int] = contextvars.ContextVar("cpu_share")
 
 
 def _usable_cpus() -> int:
+    if share := _cpu_share.get(None):
+        return share
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -56,25 +63,37 @@ def _usable_cpus() -> int:
 
 def parallel_map(fn, items) -> list:
     """``[fn(x) for x in items]`` in item order, on the calling thread plus up to one
-    thread per further usable CPU; the threads are this call's own, so calls may nest.
+    thread per further CPU it may use; the threads are this call's own, so calls may nest.
 
-    Each job runs in a copy of the caller's context, so ``np.errstate`` carries over.
-    The caller runs item 0, then each later item whose job has not started yet.  The
-    first failure in item order propagates, and the jobs not yet started are dropped.
+    Each thread, the caller's included, takes the next item in order until none is
+    left or one has failed, and runs it in a copy of the caller's context
+    (``np.errstate`` carries over) with its share of the CPUs.  The first failure in
+    item order propagates once every thread has stopped.
     """
-    items = list(items)
-    workers = min(len(items), _usable_cpus()) - 1
+    items, cpus = list(items), _usable_cpus()
+    workers = min(len(items), cpus) - 1
     if workers < 1:
         return [fn(x) for x in items]
+    context = contextvars.copy_context()
+    context.run(_cpu_share.set, cpus // (workers + 1))
+    # the items in order, then one None for each thread to stop at
+    todo = collections.deque([*enumerate(items), *[None] * (workers + 1)])
+    results, failures = [None] * len(items), {}
+
+    def drain() -> None:
+        while not failures and (job := todo.popleft()) is not None:
+            try:
+                results[job[0]] = fn(job[1])
+            except BaseException as exc:
+                failures[job[0]] = exc
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        jobs = [pool.submit(contextvars.copy_context().run, fn, x) for x in items[1:]]
-        try:
-            results = [fn(items[0])]
-            for x, job in zip(items[1:], jobs):
-                results.append(fn(x) if job.cancel() else job.result())
-        finally:
-            for job in jobs:
-                job.cancel()
+        jobs = [pool.submit(context.copy().run, drain) for _ in range(workers)]
+        context.run(drain)
+        for job in jobs:
+            job.result()
+    if failures:
+        raise failures[min(failures)]
     return results
 
 

@@ -381,10 +381,8 @@ def _emit(text: str, out: str) -> None:
         return
     tmp = os.path.join(os.path.dirname(os.path.abspath(out)),
                        f".mapwalk-{os.urandom(8).hex()}.tmp")
-    # mode 0o666 less the umask, as open(out, "w") would create it; mkstemp's is 0o600
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "x", encoding="utf-8") as fh:  # mode 0o666 less the umask, as for out
             fh.write(text)
         if os.path.exists(out):  # an existing file keeps its mode, as with open(out, "w")
             shutil.copymode(out, tmp)

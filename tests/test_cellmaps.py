@@ -3,6 +3,7 @@
 import inspect
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -338,6 +339,61 @@ def test_parallel_map_raises_the_first_failure_in_item_order(monkeypatch):
     assert threading.active_count() == before  # no thread outlives the call
 
 
+def test_parallel_map_takes_no_item_after_a_failure(monkeypatch):
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
+    ran = []
+
+    def fail_first(x):
+        ran.append(x)
+        if x == 1:
+            time.sleep(0.2)  # item 0 has failed before this thread could take item 2
+        if x == 0:
+            raise ValueError("item 0")
+
+    with pytest.raises(ValueError, match="item 0"):
+        cellmaps.parallel_map(fail_first, range(10))
+    assert set(ran) <= {0, 1}
+
+
+def test_parallel_map_keeps_every_thread_busy(monkeypatch):
+    # while one thread runs the long item 1, the other takes items 2 and 3
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
+    finished = []
+
+    def work(x):
+        time.sleep(0.5 if x == 1 else 0.01)
+        finished.append(x)
+        return x
+
+    assert cellmaps.parallel_map(work, range(4)) == [0, 1, 2, 3]
+    assert finished == [0, 2, 3, 1]
+
+
+def test_parallel_map_runs_each_item_once_under_contention(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 8)
+    runs, results = [0] * 5000, []
+
+    def count(x):
+        runs[x] += 1
+        return -x
+
+    def stress():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results.append(cellmaps.parallel_map(count, range(5000)))
+        finally:
+            sys.setswitchinterval(interval)
+
+    runner = threading.Thread(target=stress, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "parallel_map did not finish"
+    assert results == [[-x for x in range(5000)]]
+    assert runs == [1] * 5000  # no item lost or taken twice
+
+
 def test_nested_parallel_map_finishes(monkeypatch):
     # every call owns its threads, so an inner call never waits on the outer one's
     monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
@@ -352,3 +408,30 @@ def test_nested_parallel_map_finishes(monkeypatch):
     runner.join(timeout=60)
     assert not runner.is_alive(), "nested parallel_map deadlocked"
     assert results == [[[10 * i + j for j in range(3)] for i in range(3)]]
+
+
+def test_nested_parallel_map_stays_within_the_cpus():
+    # a thread with four CPUs: an outer call on w threads leaves each 4 // w for its nested calls
+    before, peaks, shares = [], [], []
+
+    def inner(_):
+        time.sleep(0.01)  # keeps the inner calls' threads alive together
+        peaks.append(threading.active_count())
+
+    def outer(_):
+        shares.append(cellmaps._usable_cpus())
+        cellmaps.parallel_map(inner, range(4))
+
+    def nested():
+        cellmaps._cpu_share.set(4)
+        before.append(threading.active_count())
+        cellmaps.parallel_map(outer, range(4))
+        cellmaps.parallel_map(outer, range(2))
+
+    runner = threading.Thread(target=nested, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "nested parallel_map deadlocked"
+    assert shares == [1, 1, 1, 1, 2, 2]
+    assert max(peaks) <= before[0] + 3  # the calling thread and at most 3 more
+    assert threading.active_count() == before[0] - 1  # the runner is gone too

@@ -474,7 +474,7 @@ def test_failing_sweep_combination_names_itself_leaving_no_file(tmp_path, capsys
 
 
 def test_classical_sweep_above_chunk_size_matches_single_runs(capsys, monkeypatch):
-    # the sweep pool and harper_map's chunk pool run at the same time
+    # the sweep threads and harper_map's chunk threads run at the same time
     monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
     argv = ["--classical", "harper", "--L", "20", "--t-max", "4", "--emit-distributions",
             "--n-points", str(cellmaps.CHUNK_POINTS + 1), "--seed", "3"]

@@ -19,10 +19,13 @@ for every coin shipped here.  Three summary statistics condense p_l(t):
 pass over the evolution.  The M coin-state evolutions are batched into
 one GEMM per step: the bundle holds (E_k^t)^T, one M x M block per
 lattice momentum k whose rows are the evolved coin-basis starts |0, b>.
-At time t the walker can only be on the sites -t..t (the light cone), so
-the site transform inverse-FFTs only as many momenta as the cone needs
-and writes exact zeros elsewhere.  The reduction order is fixed, so
-repeated runs are bit-identical.  Classical ensembles share the loop.
+At time t the walker can only be on the sites -t..t (the light cone), and
+up to t_max the walk on a ring of N >= 2 t_max + 1 sites is the same, so
+the series steps only the momenta of the smallest such ring dividing L,
+and the site transform inverse-FFTs only as many as the cone needs and
+writes exact zeros elsewhere.  ``site_probabilities`` steps all L momenta:
+the unfolded oracle.  The reduction order is fixed, so repeated runs are
+bit-identical.  Classical ensembles share the loop.
 """
 
 from __future__ import annotations
@@ -123,24 +126,24 @@ def _initial_bundle(L: int, M: int) -> NDArray[np.complex128]:
 
 
 def _cone_length(L: int, t: int) -> int:
-    """The smallest divisor of L that is at least min(2t + 1, L)."""
+    """The smallest divisor of L that is at least min(2t + 1, L), for a time t >= 0."""
     return next(n for n in range(min(2 * t + 1, L), L + 1) if L % n == 0)
 
 
-def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int) -> NDArray[np.float64]:
-    """Coin-averaged site probabilities of the bundle (E_k^t)^T, transforming only the light cone.
+def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArray[np.float64]:
+    """Coin-averaged L-ring site probabilities of the bundle (E_k^t)^T, transforming the cone.
 
-    The walker is on the sites -t..t at time t.  The length-N inverse FFT of
-    every (L/N)-th momentum gives each site's amplitude summed with those of
-    the sites N, 2N, ... away; with N >= 2t + 1 at most one site of each such
-    class lies in the cone, so the cone's values are exact and every other
-    site is exactly 0.  Once the cone covers the ring, N = L.
+    ``psi`` (the one positional argument: perfbench's transform count unpacks it) holds the n
+    momenta in (L/n)Z: the n-ring walk, the L-ring walk while the cone fits.  At time t the
+    walker is on -t..t.  The length-N inverse FFT of every (n/N)-th momentum sums each site's
+    amplitude with those N, 2N, ... away; with N >= 2t + 1 at most one site of each class is in
+    the cone, so the cone is exact and every other site exactly 0 (N = n = L once it wraps).
     """
-    L, M = psi.shape[:2]
-    N = _cone_length(L, t)
+    n, M = psi.shape[:2]
+    N = _cone_length(n, t)
     # the FFT writes into the head of a bundle-sized block, so that every step asks the
     # allocator for the same size and the growing cone leaves no holes in the heap
-    amps = np.fft.ifft(psi[::L // N], axis=0, out=np.empty_like(psi)[:N])
+    amps = np.fft.ifft(psi[::n // N], axis=0, out=np.empty_like(psi)[:N])
     amps = amps.reshape(N, -1).view(np.float64)
     probs = np.empty(L)
     cone = probs[:N]
@@ -160,11 +163,16 @@ def _bundle_states(blocks: MomentumBlockSet) -> Iterator[NDArray[np.complex128]]
 
 
 def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
-    """Distribution p_l(t) from block evolution of the M coin-basis starts."""
+    """Distribution p_l(t) of the M coin-basis starts with all L momenta stepped (the oracle)."""
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     psi = next(islice(_bundle_states(blocks), t, None))  # no site transform before t
-    return SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi, t=t), time=t)
+    return SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi, t=t, L=blocks.L), time=t)
+
+
+def _check_t_max(t_max: int) -> None:
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max}")
 
 
 def _time_series(dists: Iterator[SiteDistribution], t_max: int,
@@ -172,8 +180,7 @@ def _time_series(dists: Iterator[SiteDistribution], t_max: int,
     """The one series loop: statistics of the distributions at t = 0..t_max.
 
     ``dists`` yields p(0), p(1), ...; it is resumed only t_max times."""
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
+    _check_t_max(t_max)
     stats = np.empty((3, t_max + 1))
     kept: list[SiteDistribution] | None = [] if keep_distributions else None
     for t, dist in zip(range(t_max + 1), dists):
@@ -184,10 +191,10 @@ def _time_series(dists: Iterator[SiteDistribution], t_max: int,
                           entropy=stats[1], pr=stats[2], distributions=kept)
 
 
-def _bundle_distributions(blocks: MomentumBlockSet) -> Iterator[SiteDistribution]:
-    """Distributions at t = 0, 1, 2, ... of the block-evolved coin-basis starts."""
+def _bundle_distributions(blocks: MomentumBlockSet, L: int) -> Iterator[SiteDistribution]:
+    """Distributions on the L-ring at t = 0, 1, 2, ... of the block-evolved coin-basis starts."""
     for t, psi in enumerate(_bundle_states(blocks)):
-        yield SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi, t=t), time=t)
+        yield SiteDistribution(L=L, probs=_bundle_site_probs(psi, t=t, L=L), time=t)
 
 
 def run_time_series(config: WalkConfig, t_max: int,
@@ -195,13 +202,16 @@ def run_time_series(config: WalkConfig, t_max: int,
                     U: NDArray[np.complex128] | None = None) -> WalkTimeSeries:
     """All three observables at every time 0..t_max in one evolution pass.
 
-    The coin matrix is built from ``config.coin`` unless an explicit
-    ``U`` is supplied (it must match the coin dimension).
+    The coin matrix is built from ``config.coin`` unless an explicit ``U`` is supplied (it must
+    match the coin dimension).  Only the momenta of the ring of ``_cone_length(L, t_max)`` sites
+    are stepped: up to t_max that walk is the L-ring walk.
     """
+    _check_t_max(t_max)
     if U is None:
         U = coin_matrix(config.coin)
-    blocks = build_momentum_blocks(config, U)
-    return _time_series(_bundle_distributions(blocks), t_max, keep_distributions)
+    blocks, L = build_momentum_blocks(config, U), config.L
+    ring = MomentumBlockSet(coin=blocks.coin, phases=blocks.phases[::L // _cone_length(L, t_max)])
+    return _time_series(_bundle_distributions(ring, L), t_max, keep_distributions)
 
 
 def trace_site_probabilities(E: NDArray[np.complex128], L: int, M: int,

@@ -15,9 +15,9 @@ Two equivalent operator representations are built:
   same operator decomposes into L independent M x M blocks
   E_k = D_k U, where D_k carries phases exp(+-2*pi*i*k/L).  Every block
   shares U, so the set is kept factored, as U and the (L, M) phases.
-  This is the default execution path: ``_apply_blocks`` steps all
-  sectors with one GEMM by U^T plus a phase multiply, O(L*M^2) per step
-  of one state.
+  This is the default execution path: ``_apply_blocks`` steps each sector
+  of a set, O(M^2) per row, in one GEMM by U^T plus a phase multiply; a
+  time series steps only the momenta (L/N)Z of the ring its cone fits in.
 
 The lattice Fourier convention is <n|k> = exp(2*pi*i*n*k/L)/sqrt(L); the
 block phases are fixed by requiring exact agreement with the dense

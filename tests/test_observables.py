@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from mapwalk import observables
 from mapwalk.coins import CoinSpec, coin_matrix
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, momentum_to_site,
                           _apply_blocks)
@@ -222,6 +224,14 @@ def test_run_time_series_rejects_bad_tmax():
         run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), 0)
 
 
+@pytest.mark.parametrize("t_max", [-1, -3])
+def test_run_time_series_rejects_negative_tmax_before_folding(t_max, monkeypatch):
+    # the fold of a negative horizon would be a negative "divisor"; nothing is built first
+    monkeypatch.setattr(observables, "build_momentum_blocks", None)
+    with pytest.raises(ValueError, match=f"^t_max must be >= 1, got {t_max}$"):
+        run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), t_max)
+
+
 def test_site_probabilities_rejects_negative_time():
     blocks = build_momentum_blocks(WalkConfig(L=10, coin=CoinSpec("dft", 2)),
                                    coin_matrix(CoinSpec("dft", 2)))
@@ -246,7 +256,7 @@ def test_light_cone_transform_matches_full_transform(coin, L):
     sites = np.arange(L)
     outside = np.minimum(sites, L - sites)[None, :] > np.arange(L // 2 + 3)[:, None]
     for t, psi in zip(range(L // 2 + 3), _bundle_states(blocks)):
-        p = _bundle_site_probs(psi, t=t)
+        p = _bundle_site_probs(psi, t=t, L=L)
         np.testing.assert_allclose(p, full_transform_probs(psi), rtol=0, atol=1e-14)
         assert np.all(p[outside[t]] == 0.0)
 
@@ -271,3 +281,43 @@ def test_series_entropy_never_negative():
     # the run_dft.json walk, continued past the wrap of the ring
     series = run_time_series(WalkConfig(L=20, coin=CoinSpec("dft", 2)), 40)
     assert np.all(series.entropy >= 0.0)
+
+
+@st.composite
+def ring_and_horizon(draw):
+    """A ring size L and a t_max whose cone 2 t_max + 1 just fits a divisor d of L, or just
+    overflows it: prime L (never folded), powers of two and L with many divisors."""
+    L = draw(st.sampled_from([13, 101, 16, 64, 128, 400, 360]))
+    d = draw(st.sampled_from([d for d in range(3, min(L, 121) + 1) if L % d == 0]))
+    return L, (d - 1) // 2 + draw(st.integers(0, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=ring_and_horizon(), coin=st.sampled_from(CONE_COINS))
+@example(case=(400, 30), coin=CONE_COINS[1])  # at t = 12 the cone needs 25 momenta, not a divisor of 80
+@example(case=(400, 12), coin=CONE_COINS[0])  # the cone is 25 = N
+@example(case=(400, 13), coin=CONE_COINS[2])  # one step more: N = 40
+@example(case=(101, 50), coin=CONE_COINS[1])  # prime: no fold
+def test_folded_series_matches_the_unfolded_ring(case, coin):
+    L, t_max = case
+    config, U = WalkConfig(L=L, coin=coin), coin_matrix(coin)
+    series = run_time_series(config, t_max, keep_distributions=True, U=U)
+    blocks = build_momentum_blocks(config, U)
+    for t in range(t_max + 1):
+        np.testing.assert_allclose(series.distributions[t].probs,
+                                   site_probabilities(blocks, t).probs, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("L, t_max, stepped", [(400, 30, 80), (16, 3, 8), (101, 30, 101),
+                                               (20, 12, 20)])
+def test_series_steps_only_the_cone_ring(L, t_max, stepped, monkeypatch):
+    sectors = []
+
+    def recorder(blocks, psi):
+        sectors.append((blocks.L, psi.shape[0]))
+        return _apply_blocks(blocks, psi)
+
+    monkeypatch.setattr(observables, "_apply_blocks", recorder)
+    run_time_series(WalkConfig(L=L, coin=CoinSpec("dft", 2)), t_max)
+    assert _cone_length(L, t_max) == stepped
+    assert sectors == [(stepped, stepped)] * t_max

@@ -9,18 +9,18 @@ None of the maps takes a boundary-phase argument: the phase
 acts only on the quantum side, so its absence here is structural.
 
 Every map writes straight into the arrays it returns: its ufuncs run
-with ``out=``.  In the Harper map and its inverse the sine, kick and
-floor values pass through one scratch block of ``2**15`` points per
-chunk, so for a 1-D or contiguous input no array of its size is made
-besides the results.  The reduction mod 1 is ``x - floor(x)``, which is
-``x % 1.0`` bit for bit (both round the same exact value); a second pass
-folds the 1.0 that a tiny negative x rounds to back to 0.  A Harper
-input of at least ``CHUNK_POINTS`` points is flattened and cut into one
-contiguous chunk per CPU it may use (``os.sched_getaffinity`` where the
-platform has it, else ``os.cpu_count()``); the chunks run at once through
-``parallel_map``, since numpy's ufuncs release the GIL.  Each point's
+with ``out=``.  The Harper map, its inverse and the baker map share one
+driver, ``_map_points``.  It cuts the flat points into one contiguous
+chunk per CPU it may use (``os.sched_getaffinity`` where the platform has
+it, else ``os.cpu_count()``), but into no more chunks than there are
+whole blocks of ``2**15`` points, and runs the chunks at once through
+``parallel_map``, since numpy's ufuncs release the GIL.  A chunk runs one
+block at a time through one scratch block, so for a 1-D or contiguous
+input no array of its size is made besides the results.  Each point's
 image depends on that point alone, so the result is the same bit for bit
-however the input is chunked.
+however the input is chunked.  The reduction mod 1 is ``x - floor(x)``,
+which is ``x % 1.0`` bit for bit (both round the same exact value); a
+second pass folds the 1.0 that a tiny negative x rounds to back to 0.
 
 ``parallel_map`` is the package's only source of threads (the CLI's sweep
 combinations run through it too).  Each call starts and joins its own, and
@@ -44,8 +44,6 @@ __all__ = [
     "harper_inverse_map",
 ]
 
-#: Inputs with at least this many points are split into one chunk per CPU they may use.
-CHUNK_POINTS = 2**16
 #: Points per scratch block; a block of every array the kernel touches stays in cache.
 _BLOCK = 2**15
 _TWO_PI = 2.0 * np.pi
@@ -104,8 +102,9 @@ def _mod1(x, scratch) -> None:
         np.subtract(x, scratch, out=x)
 
 
-def _drift_kick_kernel(a, b, c1, c2, a_out, b_out, scratch) -> None:
-    """a_out = (a - c1 sin(2 pi b)) mod 1, then b_out = (b + c2 sin(2 pi a_out)) mod 1."""
+def _harper_kernel(a, b, c1, c2, a_out, b_out, scratch) -> None:
+    """Drift then kick, the Harper map and its inverse:
+    a_out = (a - c1 sin(2 pi b)) mod 1, then b_out = (b + c2 sin(2 pi a_out)) mod 1."""
     np.multiply(b, _TWO_PI, out=scratch)
     np.sin(scratch, out=scratch)
     np.multiply(scratch, c1, out=scratch)
@@ -118,28 +117,45 @@ def _drift_kick_kernel(a, b, c1, c2, a_out, b_out, scratch) -> None:
     _mod1(b_out, scratch)
 
 
-def _drift_kick_blocks(a, b, c1, c2, a_out, b_out, lo: int, hi: int) -> None:
-    """The kernel over the points lo..hi-1, one cache-sized block at a time."""
-    scratch = np.empty(min(_BLOCK, hi - lo), dtype=a_out.dtype)
-    for i in range(lo, hi, _BLOCK):
-        j = min(i + _BLOCK, hi)
-        _drift_kick_kernel(a[i:j], b[i:j], c1, c2, a_out[i:j], b_out[i:j], scratch[:j - i])
+def _baker_kernel(q, p, q_out, p_out, step) -> None:
+    """The baker map through a step array that is 0 on the left half, bit for bit the
+    branchwise values, with a p' of 1.0 folded to 0.0."""
+    # 1.0 on the right half, NaN included since it is not q < 1/2, and +0.0 on the left;
+    # x - (+0.0) is x bit for bit, -0.0 included, so the left half is left as it is
+    np.less(q, 0.5, out=step)
+    np.subtract(1.0, step, out=step)
+    np.multiply(q, 2.0, out=q_out)
+    q_out -= step  # 2q - 1 or 2q
+    np.subtract(0.0, step, out=step)  # -1.0 or +0.0
+    np.subtract(p, step, out=p_out)  # p + 1 or p
+    p_out *= 0.5
+    np.equal(p_out, 1.0, out=step)  # (p+1)/2 rounds to 1.0 at p = 1 - 2**-53
+    p_out -= step
 
 
-def _drift_kick(a, b, c1, c2):
-    """New arrays (a', b') of the drift-then-kick step shared by the Harper map and its inverse."""
+def _map_points(kernel, a, b, *consts):
+    """New arrays (a', b'): ``kernel(a, b, *consts, a_out, b_out, scratch)`` on every point
+    of the broadcast a, b, in chunks run through ``parallel_map``, one block at a time."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     dtype = np.result_type(a, b, 1.0)
-    a_out, b_out = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
+    out = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
     # every shape runs flat; the fresh results flatten to views of themselves
-    flat = a.reshape(-1), b.reshape(-1), c1, c2, a_out.reshape(-1), b_out.reshape(-1)
+    a_flat, b_flat, a_out, b_out = (x.reshape(-1) for x in (a, b, *out))
     n = a.size
-    chunks = _usable_cpus() if n >= CHUNK_POINTS else 1
+    blocks = n // _BLOCK
+    chunks = min(_usable_cpus(), blocks) if blocks > 1 else 1  # at least a block per chunk
     bounds = [n * i // chunks for i in range(chunks + 1)]
-    parallel_map(lambda lo_hi: _drift_kick_blocks(*flat, *lo_hi), zip(bounds, bounds[1:]))
-    return a_out, b_out
+
+    def run_chunk(lo: int, hi: int) -> None:
+        scratch = np.empty(min(_BLOCK, hi - lo), dtype)
+        for i in range(lo, hi, _BLOCK):
+            j = min(i + _BLOCK, hi)
+            kernel(a_flat[i:j], b_flat[i:j], *consts, a_out[i:j], b_out[i:j], scratch[:j - i])
+
+    parallel_map(lambda lo_hi: run_chunk(*lo_hi), zip(bounds, bounds[1:]))
+    return out
 
 
 def rotation_map(q, p):
@@ -157,23 +173,10 @@ def rotation_map(q, p):
 def baker_map(q, p):
     """Baker transformation: stretch in q, stack in p.
 
-    (2q, p/2) on the left half q < 1/2, else (2q - 1, (p+1)/2).  Both
-    halves are computed in one pass through a step array that is 0 on the
-    left, bit for bit the branchwise values.
+    (2q, p/2) on the left half q < 1/2, else (2q - 1, (p+1)/2); a p' that
+    rounds to 1.0 is returned as 0.0, the same torus point.
     """
-    q, p = np.asarray(q), np.asarray(p)
-    if q.shape != p.shape:
-        q, p = np.broadcast_arrays(q, p)
-    dtype = np.result_type(q, p, 1.0)
-    # 1.0 on the right half, NaN included since it is not q < 1/2, and 0.0 on the left;
-    # x - (+0.0) is x bit for bit, -0.0 included, so the left half is left as it is
-    step = np.logical_not(q < 0.5, out=np.empty(q.shape, dtype))
-    q_out = np.multiply(q, 2.0, out=np.empty(q.shape, dtype))
-    q_out -= step  # 2q - 1 or 2q
-    np.subtract(0.0, step, out=step)  # -1.0 or +0.0
-    p_out = np.subtract(p, step, out=np.empty(p.shape, dtype))  # p + 1 or p
-    p_out *= 0.5
-    return q_out, p_out
+    return _map_points(_baker_kernel, q, p)
 
 
 def harper_map(q, p, g, tau=1.0):
@@ -183,10 +186,10 @@ def harper_map(q, p, g, tau=1.0):
     chaotic beyond g = 1 (at tau = 1).  Coordinates are kept reduced
     mod 1, so the trigonometric arguments never grow.
     """
-    return _drift_kick(q, p, tau, tau * g)
+    return _map_points(_harper_kernel, q, p, tau, tau * g)
 
 
 def harper_inverse_map(q, p, g, tau=1.0):
     """Algebraic inverse of ``harper_map``: undo the kick, then the drift."""
-    p_prev, q_prev = _drift_kick(p, q, tau * g, tau)
+    p_prev, q_prev = _map_points(_harper_kernel, p, q, tau * g, tau)
     return q_prev, p_prev

@@ -29,7 +29,7 @@ from numpy.typing import NDArray
 
 from .cellmaps import rotation_map, baker_map, harper_map
 from .coins import CoinSpec, _check_kick
-from .observables import SiteDistribution, WalkTimeSeries, _time_series
+from .observables import SiteDistribution, WalkTimeSeries, _check_t_max, _time_series
 # bound here as well because perfbench traces the statistics in this namespace
 from .observables import msd, site_entropy, participation_ratio  # noqa: F401
 
@@ -210,6 +210,7 @@ def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
     The initial ensemble is a seeded uniform fill of cell 0.  The
     statistics come from the same series loop as the quantum walk.
     """
+    _check_t_max(t_max)  # before the fill, which may be large
     # the generator holds the only reference to each ensemble, freeing it once stepped
     dists = _ensemble_distributions(PhaseEnsemble.uniform_fill(L, n_points, seed=seed),
                                     cell_map, partition)

@@ -167,19 +167,17 @@ def _harper_matrix(M: int, g: float, tau: float, phi: float,
         # F[c, a] = <c|a>: position eigenket overlap with momentum state.
         F = np.exp(2j * np.pi * np.outer(cells, np.arange(M) + phi) / M) / np.sqrt(M)
         kernel = F.conj().T @ (kick[:, None] * F)
-    elif method == "fft":
+    else:
         # kernel[a, b] = e^{2 pi i phi (b-a)/M} * c_{(b-a) mod M} with
         # c_d = (1/M) sum_c kick[c] e^{2 pi i c d / M} = ifft(kick)[d].
         conv = np.fft.ifft(kick)
         idx = np.arange(M)
         diff = idx[None, :] - idx[:, None]
         kernel = np.exp(2j * np.pi * phi * diff / M) * conv[diff % M]
-    else:
-        raise ValueError(f"unknown method {method!r}; expected 'fft' or 'direct'")
     return kernel * kinetic[None, :]
 
 
-def harper_coin(spec: CoinSpec, method: str = "fft") -> NDArray[np.complex128]:
+def harper_coin(spec: CoinSpec) -> NDArray[np.complex128]:
     """One-period quantum propagator of the kicked Harper cell dynamics.
 
     The coin is expressed in the momentum basis; the boundary phase
@@ -192,9 +190,6 @@ def harper_coin(spec: CoinSpec, method: str = "fft") -> NDArray[np.complex128]:
     ----------
     spec : CoinSpec
         Must have ``kind="harper"``; supplies M, g, tau, phi.
-    method : str
-        ``"fft"`` (default) or ``"direct"``; both produce the same matrix
-        to below 1e-10.
 
     Raises
     ------
@@ -203,7 +198,7 @@ def harper_coin(spec: CoinSpec, method: str = "fft") -> NDArray[np.complex128]:
     """
     if spec.kind != "harper":
         raise ValueError(f"harper_coin needs kind='harper', got {spec.kind!r}")
-    U = _harper_matrix(spec.M, spec.g, spec.tau, spec.resolved_phi, method=method)
+    U = _harper_matrix(spec.M, spec.g, spec.tau, spec.resolved_phi)
     return _finalize(U)
 
 

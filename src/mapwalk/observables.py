@@ -127,7 +127,8 @@ def _initial_bundle(L: int, M: int) -> NDArray[np.complex128]:
 
 def _cone_length(L: int, t: int) -> int:
     """The smallest divisor of L that is at least min(2t + 1, L), for a time t >= 0."""
-    return next(n for n in range(min(2 * t + 1, L), L + 1) if L % n == 0)
+    pairs = ((i, L // i) for i in range(1, math.isqrt(L) + 1) if L % i == 0)
+    return min(d for pair in pairs for d in pair if d >= min(2 * t + 1, L))
 
 
 def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArray[np.float64]:
@@ -179,8 +180,7 @@ def _time_series(dists: Iterator[SiteDistribution], t_max: int,
                  keep_distributions: bool) -> WalkTimeSeries:
     """The one series loop: statistics of the distributions at t = 0..t_max.
 
-    ``dists`` yields p(0), p(1), ...; it is resumed only t_max times."""
-    _check_t_max(t_max)
+    ``dists`` yields p(0), p(1), ...; it is resumed only t_max times (>= 1, checked first)."""
     stats = np.empty((3, t_max + 1))
     kept: list[SiteDistribution] | None = [] if keep_distributions else None
     for t, dist in zip(range(t_max + 1), dists):

@@ -189,9 +189,10 @@ def reference_rotation(q, p):
 
 
 def reference_baker(q, p):
-    """The baker map as first written, with np.where."""
+    """The baker map as first written, with np.where, and a p' of 1.0 taken mod 1."""
     left = q < 0.5
-    return np.where(left, 2.0 * q, 2.0 * q - 1.0), np.where(left, 0.5 * p, 0.5 * (p + 1.0))
+    p_new = np.where(left, 0.5 * p, 0.5 * (p + 1.0))
+    return np.where(left, 2.0 * q, 2.0 * q - 1.0), np.where(p_new == 1.0, 0.0, p_new)
 
 
 #: Any double that doubles without overflow, or a NaN.
@@ -251,33 +252,80 @@ def test_chained_steps_bitwise_equal_reference():
     assert_bitwise((q, p), want)
 
 
-def test_chunked_equals_unchunked(monkeypatch):
-    # 2**17 + 3 points cut into 1, 2, 3 and 5 chunks: uneven chunks and uneven blocks
+@pytest.fixture
+def chunk_sizes(monkeypatch):
+    """The chunk sizes that each ``parallel_map`` call of the point-map driver is given."""
+    seen, run_chunks = [], cellmaps.parallel_map
+
+    def recording_parallel_map(fn, items):
+        items = list(items)
+        seen.append([hi - lo for lo, hi in items])
+        return run_chunks(fn, items)
+
+    monkeypatch.setattr(cellmaps, "parallel_map", recording_parallel_map)
+    return seen
+
+
+def test_chunked_equals_unchunked(monkeypatch, chunk_sizes):
+    # 2**17 + 3 points on 1, 2, 3 and 5 CPUs: uneven chunks and uneven blocks; with the
+    # default block the 4 whole blocks cap 5 CPUs at 4 chunks, with half that block they don't
     rng = np.random.default_rng(17)
     n = 2**17 + 3
     q, p = rng.random(n), rng.random(n)
-    want = reference_harper(q, p, 2.3, 1.0)
-    want_inverse = reference_harper_inverse(q, p, 2.3, 1.0)
+    p[::1000] = 1 - 2**-53  # baker's folded 1.0 in every chunk
+    maps = [(harper_map, reference_harper, (2.3, 1.0)),
+            (harper_inverse_map, reference_harper_inverse, (2.3, 1.0)),
+            (baker_map, reference_baker, ())]
+    wants = [reference(q, p, *args) for _, reference, args in maps]
     threads = set()
-    blocks = cellmaps._drift_kick_blocks
+    for name in ("_harper_kernel", "_baker_kernel"):
+        def recording_kernel(*args, kernel=getattr(cellmaps, name)):
+            threads.add(threading.get_ident())
+            kernel(*args)
 
-    def recording_blocks(*args):
-        threads.add(threading.get_ident())
-        blocks(*args)
-
-    monkeypatch.setattr(cellmaps, "_drift_kick_blocks", recording_blocks)
-    for cpus in (1, 2, 3, 5):
-        monkeypatch.setattr(cellmaps, "_usable_cpus", lambda cpus=cpus: cpus)
-        assert_bitwise(harper_map(q, p, 2.3, 1.0), want)
-        assert_bitwise(harper_inverse_map(q, p, 2.3, 1.0), want_inverse)
+        monkeypatch.setattr(cellmaps, name, recording_kernel)
+    for block in (2**15, 2**14):
+        monkeypatch.setattr(cellmaps, "_BLOCK", block)
+        for cpus in (1, 2, 3, 5):
+            monkeypatch.setattr(cellmaps, "_usable_cpus", lambda cpus=cpus: cpus)
+            for (cell_map, _, args), want in zip(maps, wants):
+                assert_bitwise(cell_map(q, p, *args), want)
+    chunks = [1, 2, 3, 4] + [1, 2, 3, 5]
+    assert [len(sizes) for sizes in chunk_sizes] == [c for c in chunks for _ in maps]
     assert len(threads) > 1  # the chunks did run on more than one thread
+
+
+@pytest.mark.parametrize("n, cpus, chunks", [(0, 4, 1), (1, 4, 1), (2**15 - 1, 4, 1),
+                                             (2**15, 4, 1), (2**16 - 1, 4, 1), (2**16, 4, 2),
+                                             (2**17 + 3, 5, 4), (2**17 + 3, 3, 3),
+                                             (10**6, 2, 2)])
+def test_chunk_count_is_usable_cpus_capped_by_whole_blocks(monkeypatch, chunk_sizes, n, cpus,
+                                                           chunks):
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: cpus)
+    q = np.full(n, 0.25)
+    harper_map(q, q, 2.0)
+    baker_map(q, q)
+    assert [len(sizes) for sizes in chunk_sizes] == [chunks] * 2
+    for sizes in chunk_sizes:
+        assert sum(sizes) == n and (chunks == 1 or min(sizes) >= cellmaps._BLOCK)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 3, 4)])
+def test_driven_maps_keep_empty_and_nd_shapes(shape):
+    rng = np.random.default_rng(3)
+    q, p = rng.random(shape), rng.random(shape)
+    for got, want in ((harper_map(q, p, 1.3), reference_harper(q, p, 1.3, 1.0)),
+                      (harper_inverse_map(q, p, 1.3), reference_harper_inverse(q, p, 1.3, 1.0)),
+                      (baker_map(q, p), reference_baker(q, p))):
+        assert_bitwise(got, want)
+        assert all(x.shape == shape for x in got)
 
 
 @pytest.mark.parametrize("state, raises", [("raise", FloatingPointError), ("ignore", None)])
 def test_chunks_follow_the_callers_errstate(monkeypatch, state, raises):
     # sin(inf) is invalid; the inf sits in the last chunk, which a pool thread computes
     monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
-    q, p = np.zeros(cellmaps.CHUNK_POINTS), np.zeros(cellmaps.CHUNK_POINTS)
+    q, p = np.zeros(2 * cellmaps._BLOCK), np.zeros(2 * cellmaps._BLOCK)  # two chunks
     p[-1] = np.inf
     with np.errstate(invalid=state):
         if raises:
@@ -288,7 +336,7 @@ def test_chunks_follow_the_callers_errstate(monkeypatch, state, raises):
 
 
 def _map_in_child():
-    q = np.random.default_rng(1).random(cellmaps.CHUNK_POINTS)
+    q = np.random.default_rng(1).random(2 * cellmaps._BLOCK)  # two chunks
     harper_map(q, q, 2.0, 1.0)
 
 

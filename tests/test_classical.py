@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from mapwalk.cellmaps import CHUNK_POINTS
+from mapwalk import cellmaps
+from mapwalk.cellmaps import baker_map
 from mapwalk.coins import CoinSpec
 from mapwalk.classical import (CellMap, CellPartition, PhaseEnsemble,
                                classical_counterpart, multi_map_step,
@@ -50,6 +51,17 @@ def test_baker_multi_map_single_point_hand_case():
     out = multi_map_step(ens, CellMap("baker"))
     assert out.cells[0] == 1
     assert out.q[0] == 0.5 and out.p[0] == 0.25
+
+
+def test_baker_image_rounding_to_one_stays_on_the_torus():
+    # (p + 1)/2 rounds to 1.0 at p = 1 - 2**-53, which uniform_fill can draw; the image is
+    # the torus point 0.0, in the lower half, so the point moves one cell to the right
+    q, p = baker_map(0.7, 1 - 2**-53)
+    assert (q, p) == (2 * 0.7 - 1, 0.0) and not np.signbit(p)
+    ens = PhaseEnsemble(cells=np.array([0]), q=np.array([0.7]), p=np.array([1 - 2**-53]), L=8)
+    out = multi_map_step(ens, CellMap("baker"))
+    assert out.cells[0] == 1
+    assert out.q[0] == 2 * 0.7 - 1 and out.p[0] == 0.0
 
 
 def test_point_on_threshold_shifts_left():
@@ -202,6 +214,17 @@ def test_validation_errors():
         classical_msd_series(CellMap("baker"), CellPartition(), L=10, t_max=0)
 
 
+@pytest.mark.parametrize("t_max", [0, -1])
+def test_classical_series_rejects_t_max_before_the_fill(monkeypatch, t_max):
+    def no_fill(*args, **kwargs):
+        raise AssertionError("the ensemble was filled")
+
+    monkeypatch.setattr(PhaseEnsemble, "uniform_fill", no_fill)
+    with pytest.raises(ValueError, match="t_max must be >= 1"):
+        classical_msd_series(CellMap("baker"), CellPartition(), L=10, t_max=t_max,
+                             n_points=10**7)
+
+
 @pytest.mark.parametrize("g, tau, field", [(math.nan, 1.0, "g:"), (math.inf, 1.0, "g:"),
                                            (1.0, math.nan, "tau:"), (1.0, math.inf, "tau:"),
                                            (1e200, 1e200, "tau*g:")])
@@ -222,7 +245,7 @@ def test_ensemble_outside_torus_or_ring_rejected(cells, q, p):
                                       CellMap("rotation")])
 @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
 def test_multi_map_step_leaves_input_unchanged(cell_map, orientation):
-    ens = PhaseEnsemble.uniform_fill(6, CHUNK_POINTS + 5, seed=4)
+    ens = PhaseEnsemble.uniform_fill(6, 2 * cellmaps._BLOCK + 5, seed=4)  # two chunks
     ens = multi_map_step(ens, CellMap("baker"))  # spread over the ring, both wraps occur
     before = [a.copy() for a in (ens.cells, ens.q, ens.p)]
     stepped = multi_map_step(ens, cell_map, CellPartition(orientation))

@@ -477,7 +477,7 @@ def test_classical_sweep_above_chunk_size_matches_single_runs(capsys, monkeypatc
     # the sweep threads and harper_map's chunk threads run at the same time
     monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: 2)
     argv = ["--classical", "harper", "--L", "20", "--t-max", "4", "--emit-distributions",
-            "--n-points", str(cellmaps.CHUNK_POINTS + 1), "--seed", "3"]
+            "--n-points", str(2 * cellmaps._BLOCK + 1), "--seed", "3"]
     code, out, _ = run_cli(capsys, "sweep", *argv, "--sweep", "g=1.5,2.5")
     assert code == 0
     want = []

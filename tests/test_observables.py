@@ -261,12 +261,15 @@ def test_light_cone_transform_matches_full_transform(coin, L):
         assert np.all(p[outside[t]] == 0.0)
 
 
-@pytest.mark.parametrize("L", [2, 3, 12, 101, 400])
+@pytest.mark.parametrize("L", [2, 3, 12, 101, 400, 100003, 720720])
 def test_cone_length_is_the_smallest_divisor_covering_the_cone(L):
-    for t in range(L):
-        n = _cone_length(L, t)
-        assert L % n == 0 and n >= min(2 * t + 1, L)
-        assert not any(L % m == 0 for m in range(min(2 * t + 1, L), n))
+    # every t on the small rings; on the large ones (a prime, and 720720 with 240 divisors)
+    # the t whose cone 2t + 1 falls just below, on or just above a divisor, and a spread
+    divisors = [d for d in range(1, L + 1) if L % d == 0]
+    ts = range(L) if L <= 400 else {t for d in divisors for t in (d // 2 - 1, d // 2, d // 2 + 1)
+                                    if 0 <= t < L} | set(range(0, L, L // 97))
+    for t in ts:
+        assert _cone_length(L, t) == min(d for d in divisors if d >= min(2 * t + 1, L))
 
 
 @pytest.mark.parametrize("L", [2, 7, 20, 400])

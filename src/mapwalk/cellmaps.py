@@ -144,9 +144,6 @@ def _map_points(kernel, a, b, *consts):
     # every shape runs flat; the fresh results flatten to views of themselves
     a_flat, b_flat, a_out, b_out = (x.reshape(-1) for x in (a, b, *out))
     n = a.size
-    blocks = n // _BLOCK
-    chunks = min(_usable_cpus(), blocks) if blocks > 1 else 1  # at least a block per chunk
-    bounds = [n * i // chunks for i in range(chunks + 1)]
 
     def run_chunk(lo: int, hi: int) -> None:
         scratch = np.empty(min(_BLOCK, hi - lo), dtype)
@@ -154,6 +151,12 @@ def _map_points(kernel, a, b, *consts):
             j = min(i + _BLOCK, hi)
             kernel(a_flat[i:j], b_flat[i:j], *consts, a_out[i:j], b_out[i:j], scratch[:j - i])
 
+    blocks = n // _BLOCK
+    chunks = min(_usable_cpus(), blocks) if blocks > 1 else 1  # at least a block per chunk
+    if chunks == 1:  # on the calling thread, with no item list to build
+        run_chunk(0, n)
+        return out
+    bounds = [n * i // chunks for i in range(chunks + 1)]
     parallel_map(lambda lo_hi: run_chunk(*lo_hi), zip(bounds, bounds[1:]))
     return out
 

@@ -20,16 +20,20 @@ pass over the evolution.  The M coin-state evolutions are batched into
 one GEMM per step: the bundle holds (E_k^t)^T, one M x M block per
 lattice momentum k whose rows are the evolved coin-basis starts |0, b>.
 At time t the walker can only be on the sites -t..t (the light cone), and
-up to t_max the walk on a ring of N >= 2 t_max + 1 sites is the same, so
-the series steps only the momenta of the smallest such ring dividing L,
-and the site transform inverse-FFTs only as many as the cone needs and
-writes exact zeros elsewhere.  ``site_probabilities`` steps all L momenta:
-the unfolded oracle.  The reduction order is fixed, so repeated runs are
-bit-identical.  Classical ensembles share the loop.
+up to t_max the walk on a ring of n >= 2 t_max + 1 sites is the same, so
+the series steps only the walk on the smallest such ring of 2^a 3^b sites
+(or on the L-ring, where that is no smaller).  The site transform
+inverse-transforms only as many of its momenta as the cone needs and
+writes exact zeros elsewhere: a wide bundle's 2t + 1 cone sites come from
+one product by rows of the inverse DFT, a narrow bundle's from an FFT.
+``site_probabilities`` steps all L momenta: the unfolded oracle.  The
+reduction order is fixed, so repeated runs are bit-identical.  Classical
+ensembles share the loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -57,6 +61,12 @@ _NORM_TOL = 1e-10
 #: Probabilities below this are treated as exact zeros in the entropy sum.
 _ENTROPY_FLOOR = 1e-300
 
+#: The cone transform is one product by a partial inverse DFT from this many columns (M^2)
+#: of the bundle and up to this many cone sites 2t + 1; below, or beyond, the FFT is faster
+#: (measured on 2 Xeon cores with OpenBLAS).
+_PRODUCT_MIN_COLUMNS = 1024
+_PRODUCT_MAX_SITES = 97
+
 
 @dataclass(frozen=True)
 class SiteDistribution:
@@ -69,9 +79,11 @@ class SiteDistribution:
     def __post_init__(self) -> None:
         if self.probs.shape != (self.L,):
             raise ValueError(f"probs shape {self.probs.shape} != ({self.L},)")
-        if np.any(self.probs < 0.0) or np.any(self.probs > 1.0 + _NORM_TOL):
+        p = self.probs
+        # "not inside" rather than "outside": every comparison with a NaN is false
+        if not (p.min(initial=0.0) >= 0.0 and p.max(initial=0.0) <= 1.0 + _NORM_TOL):
             raise ValueError("probabilities must lie in [0, 1]")
-        total = float(self.probs.sum())
+        total = float(p.sum())
         if abs(total - 1.0) > _NORM_TOL:
             raise ValueError(f"distribution sums to {total!r}, expected 1 within {_NORM_TOL}")
 
@@ -95,10 +107,18 @@ class WalkTimeSeries:
             raise ValueError("distributions length != len(times)")
 
 
+@functools.lru_cache(maxsize=8)
+def _squared_distances(L: int) -> NDArray[np.float64]:
+    """min(l, L - l)^2 for l = 0..L-1, read-only: the squared cyclic distance from site 0."""
+    d = np.minimum(np.arange(L), L - np.arange(L)).astype(float)
+    d *= d
+    d.setflags(write=False)
+    return d
+
+
 def msd(dist: SiteDistribution) -> float:
     """Mean squared displacement about site 0, cyclic minimal distance."""
-    d = np.minimum(np.arange(dist.L), dist.L - np.arange(dist.L))
-    return float(np.sum(dist.probs * d.astype(float) ** 2))
+    return float(np.sum(dist.probs * _squared_distances(dist.L)))
 
 
 def site_entropy(dist: SiteDistribution) -> float:
@@ -131,26 +151,45 @@ def _cone_length(L: int, t: int) -> int:
     return min(d for pair in pairs for d in pair if d >= min(2 * t + 1, L))
 
 
+def _ring_size(L: int, t_max: int) -> int:
+    """The smallest 2^a 3^b >= m = 2 t_max + 1, or L if that is not below L.
+
+    For each b the least a is the bit length of ceil(m / 3^b) - 1; it is 0 once 3^b >= m,
+    which holds for some b below the bit length of m."""
+    m = 2 * t_max + 1
+    n = min(3**b << ((m - 1) // 3**b).bit_length() for b in range(m.bit_length()))
+    return min(n, L)
+
+
 def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArray[np.float64]:
     """Coin-averaged L-ring site probabilities of the bundle (E_k^t)^T, transforming the cone.
 
     ``psi`` (the one positional argument: perfbench's transform count unpacks it) holds the n
-    momenta in (L/n)Z: the n-ring walk, the L-ring walk while the cone fits.  At time t the
-    walker is on -t..t.  The length-N inverse FFT of every (n/N)-th momentum sums each site's
-    amplitude with those N, 2N, ... away; with N >= 2t + 1 at most one site of each class is in
-    the cone, so the cone is exact and every other site exactly 0 (N = n = L once it wraps).
+    momenta of an n-ring walk, the L-ring walk while the cone fits (n = L once it wraps).  At
+    time t the walker is on -t..t.  The length-N inverse DFT of every (n/N)-th momentum sums
+    each site's amplitude with those N, 2N, ... away; with N >= 2t + 1 at most one site of each
+    class is in the cone, so the cone is exact and every other site exactly 0.  Wide bundles
+    take the 2t + 1 cone sites of that DFT as one product by its rows, the others its FFT.
     """
     n, M = psi.shape[:2]
     N = _cone_length(n, t)
-    # the FFT writes into the head of a bundle-sized block, so that every step asks the
-    # allocator for the same size and the growing cone leaves no holes in the heap
-    amps = np.fft.ifft(psi[::n // N], axis=0, out=np.empty_like(psi)[:N])
-    amps = amps.reshape(N, -1).view(np.float64)
+    picked = psi[::n // N].reshape(N, -1)
+    if picked.shape[1] >= _PRODUCT_MIN_COLUMNS and 2 * t + 1 <= min(N, _PRODUCT_MAX_SITES):
+        # the rows of the sites 0..t, then -t..-1; the phase index k*l is reduced mod N exactly
+        sites = np.r_[0:t + 1, -t:0]
+        twiddles = np.exp(2j * np.pi / N * np.arange(N)) / N
+        amps = twiddles[np.outer(sites, np.arange(N)) % N] @ picked
+    else:
+        # the FFT writes into the head of a bundle-sized block, so that every step asks the
+        # allocator for the same size and the growing cone leaves no holes in the heap
+        amps = np.fft.ifft(picked, axis=0, out=np.empty_like(psi).reshape(n, -1)[:N])
+    amps = amps.view(np.float64)
     probs = np.empty(L)
-    cone = probs[:N]
+    m = len(amps)  # N or 2t + 1, with the sites -t..-1 last
+    cone = probs[:m]
     np.einsum("ij,ij->i", amps, amps, out=cone)
     cone /= M
-    probs[L - t:] = cone[N - t:]  # the sites -t..-1 to the end of the ring
+    probs[L - t:] = cone[m - t:]  # the sites -t..-1 to the end of the ring
     probs[t + 1:L - t] = 0.0
     return probs
 
@@ -203,15 +242,14 @@ def run_time_series(config: WalkConfig, t_max: int,
     """All three observables at every time 0..t_max in one evolution pass.
 
     The coin matrix is built from ``config.coin`` unless an explicit ``U`` is supplied (it must
-    match the coin dimension).  Only the momenta of the ring of ``_cone_length(L, t_max)`` sites
-    are stepped: up to t_max that walk is the L-ring walk.
+    match the coin dimension).  Only the walk on the ring of ``_ring_size(L, t_max)`` sites is
+    stepped: no path of t_max steps wraps it, so up to t_max it is the L-ring walk.
     """
     _check_t_max(t_max)
     if U is None:
         U = coin_matrix(config.coin)
-    blocks, L = build_momentum_blocks(config, U), config.L
-    ring = MomentumBlockSet(coin=blocks.coin, phases=blocks.phases[::L // _cone_length(L, t_max)])
-    return _time_series(_bundle_distributions(ring, L), t_max, keep_distributions)
+    ring = build_momentum_blocks(WalkConfig(L=_ring_size(config.L, t_max), coin=config.coin), U)
+    return _time_series(_bundle_distributions(ring, config.L), t_max, keep_distributions)
 
 
 def trace_site_probabilities(E: NDArray[np.complex128], L: int, M: int,

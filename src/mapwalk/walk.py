@@ -17,7 +17,8 @@ Two equivalent operator representations are built:
   shares U, so the set is kept factored, as U and the (L, M) phases.
   This is the default execution path: ``_apply_blocks`` steps each sector
   of a set, O(M^2) per row, in one GEMM by U^T plus a phase multiply; a
-  time series steps only the momenta (L/N)Z of the ring its cone fits in.
+  time series builds and steps only the blocks of a ring its cone fits in,
+  whose size need not divide L.
 
 The lattice Fourier convention is <n|k> = exp(2*pi*i*n*k/L)/sqrt(L); the
 block phases are fixed by requiring exact agreement with the dense

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from mapwalk import observables
-from mapwalk.observables import _cone_length
+from mapwalk.observables import _ring_size
 from mapwalk.coins import CoinSpec, dft_coin
 from mapwalk.walk import WalkConfig
 
@@ -53,5 +53,5 @@ def test_traced_walk_meets_the_benchmark_call_counts():
                 "observables.stats": 3 * (T + 1)}
     assert tracer.call_count_failures(expected) == []
     steps = [span for span in tracer.spans if span.name == "walk.step"]
-    # only the momenta of the cone ring are stepped: 8 of the 16 here
-    assert [span.counts["flop"] for span in steps] == [8 * _cone_length(L, T) * M**3] * T
+    # only the ring the cone fits in is stepped: 8 sites of the 16 here
+    assert [span.counts["flop"] for span in steps] == [8 * _ring_size(L, T) * M**3] * T

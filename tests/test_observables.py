@@ -14,7 +14,7 @@ from mapwalk.observables import (SiteDistribution, WalkTimeSeries,
                                  site_probabilities, msd, site_entropy,
                                  participation_ratio, run_time_series,
                                  trace_site_probabilities, _bundle_site_probs,
-                                 _bundle_states, _cone_length)
+                                 _bundle_states, _cone_length, _ring_size)
 
 TOL = 1e-10
 
@@ -213,6 +213,16 @@ def test_site_distribution_validation():
         SiteDistribution(L=3, probs=np.full(4, 0.25))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 2, 3])
+def test_site_distribution_rejects_non_finite_probabilities(bad, where):
+    # every comparison with a NaN is false, so [nan, 0, 0, 1] passed a "< 0 or > 1" check
+    probs = np.array([0.0, 0.0, 0.0, 1.0])
+    probs[where] = bad
+    with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+        SiteDistribution(L=4, probs=probs)
+
+
 def test_time_series_validation():
     with pytest.raises(ValueError):
         WalkTimeSeries(times=np.arange(3), msd=np.zeros(2),
@@ -246,10 +256,16 @@ def full_transform_probs(psi):
 
 
 CONE_COINS = [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2), CoinSpec("baker", 4)]
+# M^2 >= observables._PRODUCT_MIN_COLUMNS (dft M=32 is on it): the cone is one product up to
+# 2t + 1 = 97, then FFTs
+WIDE_CASES = [(CoinSpec("harper", 40, g=2.0, phi=0.2), L) for L in (9, 101, 128)] + [
+    (CoinSpec("dft", 32), L) for L in (9, 101)]
+CONE_CASES = ([pytest.param(c, L, id=f"{c.kind}-{L}") for c in CONE_COINS
+               for L in (2, 3, 9, 101, 400, 512)]
+              + [pytest.param(c, L, id=f"{c.kind}{c.M}-{L}") for c, L in WIDE_CASES])
 
 
-@pytest.mark.parametrize("L", [2, 3, 9, 101, 400, 512])
-@pytest.mark.parametrize("coin", CONE_COINS, ids=lambda c: c.kind)
+@pytest.mark.parametrize("coin, L", CONE_CASES)
 def test_light_cone_transform_matches_full_transform(coin, L):
     # t runs from 0 to past the step where the cone wraps the ring
     blocks = build_momentum_blocks(WalkConfig(L=L, coin=coin), coin_matrix(coin))
@@ -259,6 +275,22 @@ def test_light_cone_transform_matches_full_transform(coin, L):
         p = _bundle_site_probs(psi, t=t, L=L)
         np.testing.assert_allclose(p, full_transform_probs(psi), rtol=0, atol=1e-14)
         assert np.all(p[outside[t]] == 0.0)
+
+
+@pytest.mark.parametrize("M", [2, 32])  # the FFT, then (up to 2t + 1 = 97) the product
+@pytest.mark.parametrize("L, t", [(9, 2), (101, 30), (128, 45), (101, 60)])
+def test_cone_transform_keeps_each_site_apart_from_its_mirror(M, L, t):
+    # coin-averaged walks are mirror symmetric, so only a lopsided bundle tells l from -l;
+    # this one is random on the sites -t..t (all of them once the cone wraps) and 0 elsewhere
+    rng = np.random.default_rng(L + t)
+    amps = np.zeros((L, M, M), dtype=complex)
+    cone = np.arange(-t, t + 1) % L
+    shape = (2 * t + 1, M, M)
+    amps[cone] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps /= np.sqrt(np.sum(np.abs(amps) ** 2) / M)
+    probs = (np.abs(amps) ** 2).reshape(L, -1).sum(axis=1) / M
+    got = _bundle_site_probs(np.fft.fft(amps, axis=0), t=t, L=L)
+    np.testing.assert_allclose(got, probs, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("L", [2, 3, 12, 101, 400, 100003, 720720])
@@ -286,21 +318,30 @@ def test_series_entropy_never_negative():
     assert np.all(series.entropy >= 0.0)
 
 
+def is_3_smooth(n):
+    while n % 2 == 0:
+        n //= 2
+    while n % 3 == 0:
+        n //= 3
+    return n == 1
+
+
 @st.composite
 def ring_and_horizon(draw):
-    """A ring size L and a t_max whose cone 2 t_max + 1 just fits a divisor d of L, or just
-    overflows it: prime L (never folded), powers of two and L with many divisors."""
+    """A ring size L and a t_max whose cone 2 t_max + 1 is just below, on or just above a
+    3-smooth ring size or L itself: prime L, powers of two and L with many divisors."""
     L = draw(st.sampled_from([13, 101, 16, 64, 128, 400, 360]))
-    d = draw(st.sampled_from([d for d in range(3, min(L, 121) + 1) if L % d == 0]))
-    return L, (d - 1) // 2 + draw(st.integers(0, 1))
+    n = draw(st.sampled_from([n for n in range(3, min(L, 121) + 1) if is_3_smooth(n) or n == L]))
+    return L, max(1, (n - 1) // 2 + draw(st.integers(-1, 1)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=ring_and_horizon(), coin=st.sampled_from(CONE_COINS))
-@example(case=(400, 30), coin=CONE_COINS[1])  # at t = 12 the cone needs 25 momenta, not a divisor of 80
-@example(case=(400, 12), coin=CONE_COINS[0])  # the cone is 25 = N
-@example(case=(400, 13), coin=CONE_COINS[2])  # one step more: N = 40
-@example(case=(101, 50), coin=CONE_COINS[1])  # prime: no fold
+@example(case=(400, 30), coin=CONE_COINS[1])  # the ring is 64; at t = 12 the cone needs 32 momenta
+@example(case=(101, 30), coin=CONE_COINS[0])  # 64 sites, no divisor of 101
+@example(case=(400, 31), coin=CONE_COINS[2])  # the cone is 63: still 64
+@example(case=(400, 32), coin=CONE_COINS[1])  # one step more: 65 needs 72
+@example(case=(101, 50), coin=CONE_COINS[1])  # the next 3-smooth ring, 108, is past L: all 101
 def test_folded_series_matches_the_unfolded_ring(case, coin):
     L, t_max = case
     config, U = WalkConfig(L=L, coin=coin), coin_matrix(coin)
@@ -311,8 +352,8 @@ def test_folded_series_matches_the_unfolded_ring(case, coin):
                                    site_probabilities(blocks, t).probs, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("L, t_max, stepped", [(400, 30, 80), (16, 3, 8), (101, 30, 101),
-                                               (20, 12, 20)])
+@pytest.mark.parametrize("L, t_max, stepped", [(400, 30, 64), (16, 3, 8), (101, 30, 64),
+                                               (20, 12, 20), (100003, 200, 432)])
 def test_series_steps_only_the_cone_ring(L, t_max, stepped, monkeypatch):
     sectors = []
 
@@ -322,5 +363,15 @@ def test_series_steps_only_the_cone_ring(L, t_max, stepped, monkeypatch):
 
     monkeypatch.setattr(observables, "_apply_blocks", recorder)
     run_time_series(WalkConfig(L=L, coin=CoinSpec("dft", 2)), t_max)
-    assert _cone_length(L, t_max) == stepped
+    assert _ring_size(L, t_max) == stepped
     assert sectors == [(stepped, stepped)] * t_max
+
+
+def test_ring_size_is_the_smallest_3_smooth_ring_holding_the_cone():
+    smooth = [n for n in range(1, 20000) if is_3_smooth(n)]
+    for t_max in range(1, 5000):
+        n = min(s for s in smooth if s >= 2 * t_max + 1)
+        assert _ring_size(10**9, t_max) == n
+        # where that is not below L, the L-ring itself
+        assert _ring_size(n, t_max) == _ring_size(n - 1, t_max) + 1 == n
+        assert _ring_size(2 * t_max + 1, t_max) == 2 * t_max + 1

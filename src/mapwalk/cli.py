@@ -47,11 +47,12 @@ from .classical import (MAP_KINDS, CellMap, CellPartition, phase_portrait,
 
 __all__ = ["main"]
 
-#: The sweepable parameters that each quantum coin, or each classical map (``--classical``),
-#: uses; sweeping any other repeats rows.  The vertical partition adds ``phi`` to every coin.
-COIN_SWEEPS = {"dft": ("M", "L"), "baker": ("M", "L", "phi"), "harper": ("M", "L", "g", "phi")}
-MAP_SWEEPS = {"rotation": ("L",), "baker": ("L",), "harper": ("L", "g")}
-SWEEPABLE = tuple(dict.fromkeys(sum((*COIN_SWEEPS.values(), *MAP_SWEEPS.values()), ())))
+#: The parameters that each quantum coin, or each classical map (``--classical``), uses;
+#: sweeping any other repeats rows.  The vertical partition adds ``phi`` to every coin.
+COIN_USES = {"dft": ("M", "L"), "baker": ("M", "L", "phi"),
+             "harper": ("M", "L", "g", "tau", "phi")}
+MAP_USES = {"rotation": ("L",), "baker": ("L",), "harper": ("L", "g", "tau")}
+SWEEPABLE = ("M", "L", "phi", "g")
 
 
 class ConfigError(Exception):
@@ -83,6 +84,9 @@ _TAU = Field("tau", float, 1.0, "kick period (default 1)")
 _SEED = Field("seed", int, 0, "RNG seed of classical ensembles and orbits", minimum=0)
 _FORMAT = Field("format", str, "csv", "output format (default csv)", ("csv", "json"))
 _OUT = Field("out", str, "-", "output path, '-' for stdout (default)")
+
+#: How CSV, and the metadata's sweep values, spell each value type: floats round-trip.
+_CSV_SPECS = {int: "%d", float: "%.17g"}
 
 #: The settings of ``run`` and ``sweep``, in the order the metadata echoes them.
 RUN_FIELDS = (
@@ -206,19 +210,13 @@ def _merge_settings(args: argparse.Namespace) -> SimpleNamespace:
     return _settings(RUN_FIELDS, args, file_vals)
 
 
-def _map_uses(kind: str) -> tuple[str, ...]:
-    """The parameters a classical cell map of this kind uses."""
-    return MAP_SWEEPS[kind] + ("tau",) * (kind == "harper")
-
-
 def _applying(s: SimpleNamespace) -> set[str]:
     """The ``run``/``sweep`` fields that take effect: what the coin uses (or, with
     ``--classical``, the map and its seeded ensemble), and the walk's own settings."""
     if s.classical:
-        uses = _map_uses(s.classical) + ("seed", "n-points")
+        uses = MAP_USES[s.classical] + ("seed", "n-points")
     else:
-        uses = (("coin",) + COIN_SWEEPS[s.coin] + ("tau",) * (s.coin == "harper")
-                + ("phi",) * (s.partition == "vertical"))
+        uses = ("coin",) + COIN_USES[s.coin] + ("phi",) * (s.partition == "vertical")
     return {*uses, "t-max", "partition", "classical", "emit-distributions", "sweep"}
 
 
@@ -265,10 +263,6 @@ def _single_series(s: SimpleNamespace, config: WalkConfig,
     return run_time_series(config, s.t_max, keep_distributions=s.emit_distributions, U=U)
 
 
-def _fmt(x) -> str:
-    return str(x) if isinstance(x, int) else f"{x:.17g}"
-
-
 def _echoed(fields: tuple[Field, ...], s: SimpleNamespace, applying: set[str]) -> dict:
     """The settings that apply, in table order, then as ``ignored`` the names of
     those given that do not."""
@@ -284,7 +278,7 @@ def _resolved_params(s: SimpleNamespace) -> dict:
     if "phi" in params:
         params["phi"] = "coin-default" if s.phi is None else s.phi
     params["classical"] = s.classical or "no"
-    params["sweep"] = " ".join(f"{n}={','.join(_fmt(v) for v in vals)}" for n, vals in s.sweep)
+    params["sweep"] = " ".join(f"{n}={','.join(_CSV_SPECS[type(v)] % v for v in vals)}" for n, vals in s.sweep)
     if not s.sweep:
         del params["sweep"]
     return params
@@ -330,34 +324,24 @@ def _phase_space_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list
         raise ConfigError(str(exc)) from exc
     pts = phase_portrait(cmap, s.n_trajectories, s.n_steps, seed=s.seed)
     params = _echoed(PHASE_SPACE_FIELDS, s,
-                     {"map", *_map_uses(s.map), "n-trajectories", "n-steps", "seed"})
+                     {"map", *MAP_USES[s.map], "n-trajectories", "n-steps", "seed"})
     return params, ["q", "p"], pts.tolist()
 
 
-def _formatted_rows(rows: list[list], specs: dict, template_of) -> list[str]:
-    """Each row through one %-template, made by ``template_of`` from the ``specs``
-    of its value types and reused for every row of the same types."""
-    templates: dict[tuple, str] = {}
-    lines = []
-    for row in rows:
-        kinds = tuple(map(type, row))
-        template = templates.get(kinds)
-        if template is None:
-            template = templates[kinds] = template_of([specs[k] for k in kinds])
-        lines.append(template % tuple(row))
-    return lines
-
-
 def _render_csv(params: dict, header: list[str], rows: list[list]) -> str:
-    """Rows of Python ints and floats, the floats with 17 significant digits."""
+    """Rows of Python ints and floats, the floats with 17 significant digits; every
+    row has the value types of the first, as every column of a CLI table has one type."""
     lines = ["# " + " ".join(f"{k}={v}" for k, v in params.items()), ",".join(header)]
-    lines += _formatted_rows(rows, {int: "%d", float: "%.17g"}, ",".join)
+    if rows:
+        template = ",".join(_CSV_SPECS[type(x)] for x in rows[0])
+        lines += [template % tuple(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def _render_json(params: dict, header: list[str], rows: list[list]) -> str:
     """The text of ``json.dumps({"params": ..., "records": ...}, indent=1)`` for
-    rows of Python ints and floats, without passing the records through json."""
+    rows of Python ints and floats, typed as the first row, without passing the
+    records through json."""
     head = json.dumps({"params": params, "records": []}, indent=1)
     if not rows:
         return head + "\n"
@@ -368,7 +352,8 @@ def _render_json(params: dict, header: list[str], rows: list[list]) -> str:
 
     # %d and %r spell finite ints and floats as json does; a row with NaN or an
     # infinity, which json spells NaN/Infinity, goes through json.dumps cell by cell
-    lines = _formatted_rows(rows, {int: "%d", float: "%r"}, record)
+    template = record([{int: "%d", float: "%r"}[type(x)] for x in rows[0]])
+    lines = [template % tuple(row) for row in rows]
     for i, row in enumerate(rows):
         if not math.isfinite(sum(row)):
             lines[i] = record(["%s"] * len(row)) % tuple(map(json.dumps, row))

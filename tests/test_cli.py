@@ -498,7 +498,9 @@ EDGE_HEADER = ["M", "time", "msd", "entropy", "p%d"]
 EDGE_PARAMS = {"coin": "dft", "phi": "coin-default", "g": 0.0, "emit_distributions": False}
 
 
-@pytest.mark.parametrize("rows", [EDGE_ROWS, EDGE_ROWS[2:3], [], [[0.5, 1], [2, 0.5]]])
+# every CLI table has one type per column (test_every_cli_table_has_one_row_type_sequence);
+# the last case is a float-only table, as phase-space makes
+@pytest.mark.parametrize("rows", [EDGE_ROWS, EDGE_ROWS[2:3], [], [[0.5, 1.0], [2.0, 0.5]]])
 def test_render_json_is_json_dumps_indent_1(rows):
     records = [dict(zip(EDGE_HEADER, row)) for row in rows]
     expected = json.dumps({"params": EDGE_PARAMS, "records": records}, indent=1) + "\n"
@@ -506,8 +508,9 @@ def test_render_json_is_json_dumps_indent_1(rows):
 
 
 def test_render_csv_spells_ints_and_17_digit_floats():
-    text = cli._render_csv({"L": 4}, EDGE_HEADER, EDGE_ROWS + [[0.5, 1], []])
+    text = cli._render_csv({"L": 4}, EDGE_HEADER, EDGE_ROWS)
     expected = ["# L=4", ",".join(EDGE_HEADER)] + [
         ",".join(str(x) if isinstance(x, int) else format(x, ".17g") for x in row)
-        for row in EDGE_ROWS + [[0.5, 1], []]]
+        for row in EDGE_ROWS]
     assert text == "\n".join(expected) + "\n"
+    assert cli._render_csv({"L": 4}, EDGE_HEADER, []) == f"# L=4\n{','.join(EDGE_HEADER)}\n"

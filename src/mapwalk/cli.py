@@ -19,8 +19,10 @@ phase-space
 Configuration is a flat ``key = value`` file (``--config``) keyed by the
 flag names, command-line flags taking precedence.  Output is CSV or JSON
 with the parameters that apply to the run echoed in the metadata, and as
-``ignored`` the names of those given that do not; numbers carry full
-double precision so downstream comparisons stay exact.  Exit codes:
+``ignored`` the names of those given that do not.  A swept parameter is
+echoed only by its values in ``sweep``, and is ignored at a base value
+given beside them.  Numbers carry full double precision so downstream
+comparisons stay exact.  Exit codes:
 0 success, 2 configuration error, 1 runtime error (naming the swept values
 of a failing sweep combination).  Output files are written atomically; a
 failing run leaves no partial file.
@@ -273,8 +275,9 @@ def _echoed(fields: tuple[Field, ...], s: SimpleNamespace, applying: set[str]) -
 
 
 def _resolved_params(s: SimpleNamespace) -> dict:
-    """The settings echoed in the metadata of ``run``/``sweep``."""
-    params = _echoed(RUN_FIELDS, s, _applying(s))
+    """The settings echoed in the metadata of ``run``/``sweep``: a swept parameter
+    shows only its swept values, and is ignored at its base value."""
+    params = _echoed(RUN_FIELDS, s, _applying(s) - {name for name, _ in s.sweep})
     if "phi" in params:
         params["phi"] = "coin-default" if s.phi is None else s.phi
     params["classical"] = s.classical or "no"

@@ -6,12 +6,16 @@ import json
 import math
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mapwalk import cellmaps, cli, coins
 from mapwalk.cli import main
+
+#: coin = harper, M = 8, L = 14, g = 1.5, t-max = 5, sweep = phi=0,0.3
+WALK_CFG = Path(__file__).with_name("golden") / "walk.cfg"
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +91,15 @@ def metadata(out):
      "coin,M"),
     (["--classical", "harper", "--phi", "0.2", "--g", "2"],
      {"L", "g", "tau", "seed", "n_points"}, "phi"),
+    # a swept parameter shows only in sweep=, and as ignored when its base value is given
+    (["--coin", "dft", "--M", "3", "--sweep", "M=2,4"], {"coin", "L", "sweep"}, "M"),
+    (["--coin", "dft", "--sweep", "M=2,4"], {"coin", "L", "sweep"}, None),
+    (["--coin", "harper", "--sweep", "phi=0,0.2"], {"coin", "M", "L", "g", "tau", "sweep"},
+     None),
+    (["--classical", "harper", "--g", "1", "--sweep", "g=0.5,2"],
+     {"L", "tau", "seed", "n_points", "sweep"}, "g"),
+    (["--config", str(WALK_CFG), "--phi", "0.5"], {"coin", "M", "L", "g", "tau", "sweep"},
+     "phi"),
 ])
 def test_metadata_echoes_only_the_parameters_that_apply(capsys, argv, echoed, ignored):
     code, out, _ = run_cli(capsys, "run", "--L", "10", "--t-max", "1", *argv)

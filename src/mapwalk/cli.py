@@ -367,14 +367,14 @@ def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
         return
-    tmp = os.path.join(os.path.dirname(os.path.abspath(out)),
-                       f".mapwalk-{os.urandom(8).hex()}.tmp")
+    target = os.path.realpath(out)  # through a symlink, as open(out, "w") writes
+    tmp = os.path.join(os.path.dirname(target), f".mapwalk-{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as fh:  # mode 0o666 less the umask, as for out
             fh.write(text)
-        if os.path.exists(out):  # an existing file keeps its mode, as with open(out, "w")
-            shutil.copymode(out, tmp)
-        os.replace(tmp, out)
+        if os.path.exists(target):  # an existing file keeps its mode, as with open(out, "w")
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -291,6 +291,24 @@ def test_output_file_mode_is_that_of_open(tmp_path, capsys, umask, existing, mod
     assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
 
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    # as open(out, "w") would: the link survives, its target gets the output
+    link_dir, target_dir = tmp_path / "links", tmp_path / "data"
+    link_dir.mkdir()
+    target_dir.mkdir()
+    target = target_dir / "target.csv"
+    target.write_text("old\n")
+    link = link_dir / "link.csv"
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "run", "--L", "10", "--t-max", "2", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    header, rows = parse_csv(target.read_text())
+    assert len(rows) == 3
+    assert [p.name for p in link_dir.iterdir()] == ["link.csv"]
+    assert [p.name for p in target_dir.iterdir()] == ["target.csv"]
+
+
 def test_full_precision_round_trip(capsys):
     _, out, _ = run_cli(capsys, "run", "--coin", "harper", "--M", "4",
                         "--L", "10", "--g", "2", "--t-max", "4")

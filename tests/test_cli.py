@@ -519,6 +519,32 @@ def test_classical_sweep_above_chunk_size_matches_single_runs(capsys, monkeypatc
     assert out.splitlines()[2:] == want
 
 
+_QUANTUM_SWEEP = ["run", "--coin", "harper", "--L", "6", "--t-max", "3", "--sweep", "M=2,4",
+                  "--sweep", "phi=0,0.2", "--emit-distributions"]
+
+
+@pytest.mark.parametrize("argv, kinds", [
+    (_QUANTUM_SWEEP, (int, float, int) + (float,) * 9),
+    (_QUANTUM_SWEEP + ["--format", "json"], (int, float, int) + (float,) * 9),
+    (["run", "--classical", "harper", "--t-max", "3", "--n-points", "50", "--sweep", "L=5,8",
+      "--sweep", "g=1,2"], (int, float, int, float, float, float)),
+    (["run", "--config", str(WALK_CFG), "--t-max", "2"], (float, int, float, float, float)),
+    (["phase-space", "--n-trajectories", "3", "--n-steps", "4"], (float, float)),
+])
+def test_every_cli_table_has_one_row_type_sequence(capsys, monkeypatch, argv, kinds):
+    # the renderers build one row template from the first row's value types
+    tables = []
+    for name in ("_render_csv", "_render_json"):
+        def record(params, header, rows, render=getattr(cli, name)):
+            tables.append(rows)
+            return render(params, header, rows)
+        monkeypatch.setattr(cli, name, record)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    [rows] = tables
+    assert rows and {tuple(map(type, row)) for row in rows} == {kinds}
+
+
 EDGE_ROWS = [
     [0, 3, -0.0, 5e-324, 1e-300],
     [-7, 10**20, 0.1, 1e16, 123456789.125],

@@ -54,6 +54,7 @@ __all__ = ["main"]
 COIN_USES = {"dft": ("M", "L"), "baker": ("M", "L", "phi"),
              "harper": ("M", "L", "g", "tau", "phi")}
 MAP_USES = {"rotation": ("L",), "baker": ("L",), "harper": ("L", "g", "tau")}
+#: What ``--sweep`` takes, in the order its error text names them.
 SWEEPABLE = ("M", "L", "phi", "g")
 
 
@@ -276,12 +277,13 @@ def _echoed(fields: tuple[Field, ...], s: SimpleNamespace, applying: set[str]) -
 
 def _resolved_params(s: SimpleNamespace) -> dict:
     """The settings echoed in the metadata of ``run``/``sweep``: a swept parameter
-    shows only its swept values, and is ignored at its base value."""
+    shows only its swept values, and is named as ignored if a base value was given."""
     params = _echoed(RUN_FIELDS, s, _applying(s) - {name for name, _ in s.sweep})
     if "phi" in params:
         params["phi"] = "coin-default" if s.phi is None else s.phi
     params["classical"] = s.classical or "no"
-    params["sweep"] = " ".join(f"{n}={','.join(_CSV_SPECS[type(v)] % v for v in vals)}" for n, vals in s.sweep)
+    params["sweep"] = " ".join(f"{n}={','.join(_CSV_SPECS[type(v)] % v for v in vals)}"
+                               for n, vals in s.sweep)
     if not s.sweep:
         del params["sweep"]
     return params

@@ -95,7 +95,7 @@ _CSV_SPECS = {int: "%d", float: "%.17g"}
 RUN_FIELDS = (
     Field("coin", str, "dft", "quantum coin (default dft)", COIN_KINDS),
     Field("M", int, 2, "coin dimension (even)"),
-    Field("L", int, 100, "number of lattice sites"),
+    Field("L", int, 100, "number of lattice sites", minimum=2),
     Field("g", float, 0.0, "Harper chaos parameter"),
     _TAU,
     Field("phi", float, None, "boundary phase in [0,1); default 0 (baker: 1/2)"),
@@ -110,6 +110,7 @@ RUN_FIELDS = (
     _FORMAT,
     _OUT,
 )
+_RUN_FIELD = {f.name: f for f in RUN_FIELDS}
 
 #: The settings of ``phase-space``, in the order the metadata echoes them.
 PHASE_SPACE_FIELDS = (
@@ -137,7 +138,6 @@ def _parse_value(f: Field, text: str):
 
 def _parse_config_file(path: str) -> dict:
     """Flat key = value file; '#' starts a comment; keys are the flag names."""
-    fields = {f.name: f for f in RUN_FIELDS}
     values: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -153,13 +153,13 @@ def _parse_config_file(path: str) -> dict:
         key, _, val = line.partition("=")
         key = key.strip().replace("_", "-")
         val = val.strip()
-        if key not in fields:
+        if key not in _RUN_FIELD:
             raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
         try:
-            value = _parse_value(fields[key], val)
+            value = _parse_value(_RUN_FIELD[key], val)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"config: line {lineno}: bad value for {key!r}: {val!r}") from exc
-        values[key] = values.get(key, []) + value if fields[key].type is list else value
+        values[key] = values.get(key, []) + value if _RUN_FIELD[key].type is list else value
     return values
 
 
@@ -175,7 +175,7 @@ def _parse_sweep_expr(expr: str) -> tuple[str, list]:
         raise ConfigError(f"sweep: non-numeric value in {expr!r}") from exc
     if not values:
         raise ConfigError(f"sweep: no values given in {expr!r}")
-    if name in ("M", "L"):
+    if _RUN_FIELD[name].type is int:
         if not all(v.is_integer() for v in values):
             raise ConfigError(f"sweep: {name} values must be integers, got {expr!r}")
         values = [int(v) for v in values]
@@ -223,12 +223,16 @@ def _applying(s: SimpleNamespace) -> set[str]:
     return {*uses, "t-max", "partition", "classical", "emit-distributions", "sweep"}
 
 
-def _validate_settings(s: SimpleNamespace) -> list[tuple[tuple, WalkConfig, CellMap | None]]:
-    """The single validation point of ``run``/``sweep`` settings: the swept
-    values, walk config and (classical) cell map of every sweep combination."""
-    _check_fields(RUN_FIELDS, s)
-    uses = _applying(s)
+def _validate_settings(s: SimpleNamespace) -> list[tuple]:
+    """The single validation point of ``run``/``sweep`` settings: per sweep combination,
+    its swept values, its settings record (the swept values laid over the settings by
+    name) and what its run uses, a quantum walk config or a classical cell map."""
     names = [name for name, _ in s.sweep]
+    combos = list(product(*(values for _, values in s.sweep)))
+    records = [SimpleNamespace(**{**vars(s), **dict(zip(names, combo))}) for combo in combos]
+    for record in records:  # the choices are checked before _applying reads them
+        _check_fields(RUN_FIELDS, record)
+    uses = _applying(s)
     for name, values in s.sweep:
         if names.count(name) > 1:
             raise ConfigError(f"sweep: parameter {name!r} swept more than once")
@@ -240,30 +244,24 @@ def _validate_settings(s: SimpleNamespace) -> list[tuple[tuple, WalkConfig, Cell
     if s.emit_distributions and "L" in names:
         raise ConfigError("sweep: cannot sweep L together with --emit-distributions "
                           "(column count would vary)")
-    runs = []
-    for combo in product(*(values for _, values in s.sweep)):
-        v = {"M": s.M, "L": s.L, "g": s.g, "phi": s.phi, **dict(zip(names, combo))}
-        try:
-            coin = CoinSpec(s.coin, M=v["M"], g=v["g"], tau=s.tau, phi=v["phi"])
-            config = WalkConfig(L=v["L"], coin=coin)
-            cell_map = CellMap(s.classical, g=v["g"], tau=s.tau) if s.classical else None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        runs.append((combo, config, cell_map))
-    return runs
+    try:
+        return [(combo, r, CellMap(r.classical, g=r.g, tau=r.tau) if r.classical else
+                 WalkConfig(L=r.L, coin=CoinSpec(r.coin, M=r.M, g=r.g, tau=r.tau, phi=r.phi)))
+                for combo, r in zip(combos, records)]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _single_series(s: SimpleNamespace, config: WalkConfig,
-                   cell_map: CellMap | None) -> WalkTimeSeries:
-    """One run of a validated sweep combination."""
-    if cell_map is not None:
-        return classical_msd_series(cell_map, CellPartition(orientation=s.partition), config.L,
-                                    s.t_max, n_points=s.n_points, seed=s.seed,
-                                    keep_distributions=s.emit_distributions)
-    U = coin_matrix(config.coin)
-    if s.partition == "vertical":
-        U = coin_in_position_basis(U, config.coin.resolved_phi)
-    return run_time_series(config, s.t_max, keep_distributions=s.emit_distributions, U=U)
+def _single_series(r: SimpleNamespace, built: WalkConfig | CellMap) -> WalkTimeSeries:
+    """One run of a validated settings record and what it built."""
+    if r.classical:
+        return classical_msd_series(built, CellPartition(orientation=r.partition), r.L,
+                                    r.t_max, n_points=r.n_points, seed=r.seed,
+                                    keep_distributions=r.emit_distributions)
+    U = coin_matrix(built.coin)
+    if r.partition == "vertical":
+        U = coin_in_position_basis(U, built.coin.resolved_phi)
+    return run_time_series(built, r.t_max, keep_distributions=r.emit_distributions, U=U)
 
 
 def _echoed(fields: tuple[Field, ...], s: SimpleNamespace, applying: set[str]) -> dict:
@@ -302,9 +300,9 @@ def _run_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list]]:
     runs = _validate_settings(s)
 
     def series(run: tuple) -> WalkTimeSeries:
-        combo, config, cell_map = run
+        combo, record, built = run
         try:
-            return _single_series(s, config, cell_map)
+            return _single_series(record, built)
         except (ValueError, OSError, MemoryError) as exc:
             if not s.sweep:
                 raise

@@ -109,6 +109,13 @@ class PhaseEnsemble:
     time: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("cells", "q", "p"):  # the step and the cell count need 1-D arrays
+            ndim = np.ndim(getattr(self, name))
+            if ndim != 1:
+                raise ValueError(f"{name}: must be a 1-D array, got {ndim} dimensions")
+        dtype = np.asarray(self.cells).dtype
+        if not np.issubdtype(dtype, np.integer):
+            raise ValueError(f"cells: must hold integers, got dtype {dtype}")
         n = len(self.cells)
         if len(self.q) != n or len(self.p) != n:
             raise ValueError("cells, q, p must have equal lengths")

@@ -241,6 +241,20 @@ def test_ensemble_outside_torus_or_ring_rejected(cells, q, p):
         PhaseEnsemble(cells=np.array(cells), q=np.array(q), p=np.array(p), L=4)
 
 
+@pytest.mark.parametrize("cells, q, p, field", [
+    (np.array([0.5]), np.array([0.2]), np.array([0.3]), "cells"),
+    (np.array([True]), np.array([0.2]), np.array([0.3]), "cells"),
+    (np.zeros((1, 1), dtype=np.int64), np.array([[0.2]]), np.array([[0.3]]), "cells"),
+    (np.array([0]), np.array([[0.2]]), np.array([0.3]), "q"),
+    (np.array([0]), np.array([0.2]), np.float64(0.3), "p"),
+])
+def test_ensemble_the_walk_cannot_step_rejected_naming_the_field(cells, q, p, field):
+    # multi_map_step indexes by the cells and classical_site_distribution counts them,
+    # both only for one dimension of integer cells
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        PhaseEnsemble(cells=cells, q=q, p=p, L=4)
+
+
 @pytest.mark.parametrize("cell_map", [CellMap("harper", g=2.0), CellMap("baker"),
                                       CellMap("rotation")])
 @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])

@@ -34,6 +34,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import sys
 from dataclasses import dataclass
@@ -137,7 +138,8 @@ def _parse_value(f: Field, text: str):
 
 
 def _parse_config_file(path: str) -> dict:
-    """Flat key = value file; '#' starts a comment; keys are the flag names."""
+    """Flat key = value file; keys are the flag names.  A '#' at the start of a
+    line or after whitespace starts a comment; one inside a value is kept."""
     values: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -145,7 +147,7 @@ def _parse_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -348,6 +348,20 @@ def test_config_key_of_no_run_field_exits_2(tmp_path, capsys, line):
     assert repr(line.split(" = ")[0]) in err
 
 
+def test_config_comment_starts_at_line_start_or_after_whitespace(tmp_path, capsys):
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text(f"# a comment line\nM = 4  # note\nL = 10\nt-max = 1\n"
+                   f"out = {tmp_path / 'res#1.csv'}\n")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0 and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["res#1.csv", "walk.cfg"]
+    assert metadata((tmp_path / "res#1.csv").read_text())["M"] == "4"
+    cfg.write_text("M = 4#x\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: config: line 1: bad value for 'M': '4#x'\n"
+
+
 def test_config_value_outside_choices_exits_2(tmp_path, capsys):
     cfg = tmp_path / "walk.cfg"
     cfg.write_text("coin = hadamard\n")

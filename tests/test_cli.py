@@ -100,6 +100,11 @@ def metadata(out):
      {"L", "tau", "seed", "n_points", "sweep"}, "g"),
     (["--config", str(WALK_CFG), "--phi", "0.5"], {"coin", "M", "L", "g", "tau", "sweep"},
      "phi"),
+    # a classical run builds no coin, so the coin's own checks do not apply to its M or phi
+    (["--classical", "baker", "--M", "3"], {"L", "seed", "n_points"}, "M"),
+    (["--classical", "harper", "--phi", "1.5"], {"L", "g", "tau", "seed", "n_points"}, "phi"),
+    # the base value of a swept field is not checked
+    (["--L", "1", "--sweep", "L=4,6"], {"coin", "M", "sweep"}, "L"),
 ])
 def test_metadata_echoes_only_the_parameters_that_apply(capsys, argv, echoed, ignored):
     code, out, _ = run_cli(capsys, "run", "--L", "10", "--t-max", "1", *argv)
@@ -438,6 +443,19 @@ def test_classical_lattice_size_checked(capsys):
     code, _, err = run_cli(capsys, "run", "--classical", "rotation", "--L", "1")
     assert code == 2
     assert "L:" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--L", "1"], "L: must be >= 2, got 1"),
+    (["--sweep", "L=1,4"], "L: must be >= 2, got 1"),
+    (["--classical", "rotation", "--sweep", "L=1,4"], "L: must be >= 2, got 1"),
+    (["--phi", "1.5"], "phi: boundary phase must lie in [0, 1), got 1.5"),
+])
+def test_field_rules_apply_to_the_values_the_run_takes(capsys, argv, error):
+    # the dft coin is built for a quantum run, and checks the phi it ignores
+    code, out, err = run_cli(capsys, "run", "--t-max", "1", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {error}\n"
 
 
 _SMALL_RUN = ["--M", "4", "--L", "10", "--t-max", "2"]

@@ -1,15 +1,18 @@
 """Tests for the command-line experiment runner."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
 import stat
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mapwalk import cellmaps, cli, coins
 from mapwalk.cli import main
@@ -365,6 +368,62 @@ def test_config_comment_starts_at_line_start_or_after_whitespace(tmp_path, capsy
     code, out, err = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err == "error: config: line 1: bad value for 'M': '4#x'\n"
+
+
+@st.composite
+def run_settings(draw):
+    """One set of run/sweep settings as (flag name, value) pairs; a value of None is a
+    flag that takes none.  Values a field or a coin rejects are drawn too."""
+    def pick(name, values):
+        return [(name, draw(st.sampled_from(values)))] if draw(st.booleans()) else []
+
+    def some(values):
+        return draw(st.permutations(values))[:draw(st.integers(1, len(values)))]
+
+    kind = draw(st.sampled_from(cli.MAP_KINDS))
+    classical = draw(st.booleans())
+    items = [("classical", kind)] if classical else pick("coin", cli.COIN_KINDS)
+    items += (pick("M", ["2", "3", "6"]) + pick("L", ["1", "5", "12"]) + pick("g", ["0", "2.5"])
+              + pick("phi", ["0", "0.25", "1.5"]) + pick("t-max", ["1", "4"])
+              + pick("partition", ["horizontal", "vertical"]) + pick("seed", ["0", "3"])
+              + pick("format", ["csv", "json"]) + pick("emit-distributions", [None]))
+    items += [("n-points", str(draw(st.integers(1, 200))))] if classical else pick(
+        "n-points", ["7"])
+    # mostly parameters the coin or map uses, so that most runs succeed
+    coin = dict(items).get("coin", "dft")
+    uses = cli.MAP_USES[kind] if classical else cli.COIN_USES[coin] + ("phi",)
+    names = [n for n in cli.SWEEPABLE if n in uses or draw(st.integers(0, 4)) == 0]
+    values = {"M": ["2", "4", "6"], "L": ["2", "7", "12"], "g": ["0", "0.5", "2"],
+              "phi": ["0", "0.3", "0.7"]}
+    for name in some(names)[:2]:
+        items.append(("sweep", f"{name}={','.join(some(values[name]))}"))
+    return items
+
+
+def cli_output(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(items=run_settings())
+def test_flags_and_config_file_give_the_same_output(items):
+    flags, lines, sweeps = [], [], []
+    for name, value in items:
+        flags += [f"--{name}"] + ([] if value is None else [value])
+        if name == "sweep":
+            sweeps.append(value)
+        else:
+            lines.append(f"{name} = {'true' if value is None else value}")
+    if sweeps:
+        lines.append("sweep = " + " ".join(sweeps))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "walk.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        from_file = cli_output(["run", "--config", str(cfg)])
+    assert cli_output(["run", *flags]) == from_file
 
 
 def test_config_value_outside_choices_exits_2(tmp_path, capsys):

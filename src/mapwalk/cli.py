@@ -17,15 +17,19 @@ phase-space
     visited (q, p) pairs, one record per point.
 
 Configuration is a flat ``key = value`` file (``--config``) keyed by the
-flag names, command-line flags taking precedence.  Output is CSV or JSON
-with the parameters that apply to the run echoed in the metadata, and as
-``ignored`` the names of those given that do not.  A swept parameter is
-echoed only by its values in ``sweep``, and is ignored at a base value
-given beside them.  Numbers carry full double precision so downstream
-comparisons stay exact.  Exit codes:
-0 success, 2 configuration error, 1 runtime error (naming the swept values
-of a failing sweep combination).  Output files are written atomically; a
-failing run leaves no partial file.
+flag names, command-line flags taking precedence.  A setting's own rules
+apply to the values it takes in the run (a swept one's swept values, not
+its base value), and a run's library objects check only what that run
+builds: the coin and walk of a quantum run, the cell map of a classical
+one, so a classical run ignores a coin dimension the coin would reject.
+Output is CSV or JSON with the parameters that apply to the run echoed in
+the metadata, and as ``ignored`` the names of those given that do not.  A
+swept parameter is echoed only by its values in ``sweep``, and is ignored
+at a base value given beside them.  Numbers carry full double precision so
+downstream comparisons stay exact.  Exit codes: 0 success, 2 configuration
+error, 1 runtime error (naming the swept values of a failing sweep
+combination).  Output files are written atomically; a failing run leaves
+no partial file.
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ class CombinationError(Exception):
 
 @dataclass(frozen=True)
 class Field:
-    """One setting: flag and config key, type, default, help, and the checks
-    no library dataclass owns (the coin, map and walk constructors check the rest)."""
+    """One setting: flag and config key, type, default, help, and the checks that
+    hold in every run (the coin, walk and map constructors check the rest)."""
 
     name: str
     type: type

@@ -17,18 +17,17 @@ for every coin shipped here.  Three summary statistics condense p_l(t):
 
 ``run_time_series`` produces all three at every time step in a single
 pass over the evolution.  The M coin-state evolutions are batched into
-one GEMM per step: the bundle holds (E_k^t)^T, one M x M block per
-lattice momentum k whose rows are the evolved coin-basis starts |0, b>.
-At time t the walker can only be on the sites -t..t (the light cone), and
-up to t_max the walk on a ring of n >= 2 t_max + 1 sites is the same, so
-the series steps only the walk on the smallest such ring of 2^a 3^b sites
-(or on the L-ring, where that is no smaller).  The site transform
-inverse-transforms only as many of its momenta as the cone needs and
-writes exact zeros elsewhere: a wide bundle's 2t + 1 cone sites come from
-one product by rows of the inverse DFT, a narrow bundle's from an FFT.
-``site_probabilities`` steps all L momenta: the unfolded oracle.  The
-reduction order is fixed, so repeated runs are bit-identical.  Classical
-ensembles share the loop.
+one GEMM per step: the bundle's rows are the evolved coin-basis starts
+|0, b>.  At time t the walker can only be on the sites -t, -t + 2, ..., t
+(the light cone), so while those 2t + 1 sites fit the ring the series
+steps just them in position space, as a window of t + 1 rows, and p_l(t)
+is their |amplitude|^2 with no transform; every other site is exactly 0.
+Once the cone wraps, the window is put on the L-ring and Fourier
+transformed once, and the bundle (E_k^t)^T of one M x M block per lattice
+momentum k is stepped on, each p_l(t) then taking a full inverse FFT.
+``site_probabilities`` steps all L momenta from t = 0: the block oracle.
+The reduction order is fixed, so repeated runs are bit-identical.
+Classical ensembles share the loop.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 from numpy.typing import NDArray
@@ -60,12 +59,6 @@ _NORM_TOL = 1e-10
 
 #: Probabilities below this are treated as exact zeros in the entropy sum.
 _ENTROPY_FLOOR = 1e-300
-
-#: The cone transform is one product by a partial inverse DFT from this many columns (M^2)
-#: of the bundle and up to this many cone sites 2t + 1; below, or beyond, the FFT is faster
-#: (measured on 2 Xeon cores with OpenBLAS).
-_PRODUCT_MIN_COLUMNS = 1024
-_PRODUCT_MAX_SITES = 97
 
 
 @dataclass(frozen=True)
@@ -145,51 +138,23 @@ def _initial_bundle(L: int, M: int) -> NDArray[np.complex128]:
     return np.broadcast_to(np.eye(M, dtype=np.complex128), (L, M, M)).copy()
 
 
-def _cone_length(L: int, t: int) -> int:
-    """The smallest divisor of L that is at least min(2t + 1, L), for a time t >= 0."""
-    pairs = ((i, L // i) for i in range(1, math.isqrt(L) + 1) if L % i == 0)
-    return min(d for pair in pairs for d in pair if d >= min(2 * t + 1, L))
-
-
-def _ring_size(L: int, t_max: int) -> int:
-    """The smallest 2^a 3^b >= m = 2 t_max + 1, or L if that is not below L.
-
-    For each b the least a is the bit length of ceil(m / 3^b) - 1; it is 0 once 3^b >= m,
-    which holds for some b below the bit length of m."""
-    m = 2 * t_max + 1
-    n = min(3**b << ((m - 1) // 3**b).bit_length() for b in range(m.bit_length()))
-    return min(n, L)
-
-
 def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArray[np.float64]:
-    """Coin-averaged L-ring site probabilities of the bundle (E_k^t)^T, transforming the cone.
+    """Coin-averaged L-ring site probabilities at time t of the light-cone window or the bundle.
 
-    ``psi`` (the one positional argument: perfbench's transform count unpacks it) holds the n
-    momenta of an n-ring walk, the L-ring walk while the cone fits (n = L once it wraps).  At
-    time t the walker is on -t..t.  The length-N inverse DFT of every (n/N)-th momentum sums
-    each site's amplitude with those N, 2N, ... away; with N >= 2t + 1 at most one site of each
-    class is in the cone, so the cone is exact and every other site exactly 0.  Wide bundles
-    take the 2t + 1 cone sites of that DFT as one product by its rows, the others its FFT.
+    ``psi`` (the one positional argument: perfbench's transform count unpacks it) is either the
+    window (t + 1 < L rows, the sites -t, -t + 2, ..., t), whose |.|^2 is scattered to those
+    sites with every other site exactly 0, or the bundle (E_k^t)^T of all L momenta, which is
+    inverse-transformed in full; its sites outside -t..t, where the walk cannot be, are set to 0.
     """
     n, M = psi.shape[:2]
-    N = _cone_length(n, t)
-    picked = psi[::n // N].reshape(N, -1)
-    if picked.shape[1] >= _PRODUCT_MIN_COLUMNS and 2 * t + 1 <= min(N, _PRODUCT_MAX_SITES):
-        # the rows of the sites 0..t, then -t..-1; the phase index k*l is reduced mod N exactly
-        sites = np.r_[0:t + 1, -t:0]
-        twiddles = np.exp(2j * np.pi / N * np.arange(N)) / N
-        amps = twiddles[np.outer(sites, np.arange(N)) % N] @ picked
-    else:
-        # the FFT writes into the head of a bundle-sized block, so that every step asks the
-        # allocator for the same size and the growing cone leaves no holes in the heap
-        amps = np.fft.ifft(picked, axis=0, out=np.empty_like(psi).reshape(n, -1)[:N])
-    amps = amps.view(np.float64)
-    probs = np.empty(L)
-    m = len(amps)  # N or 2t + 1, with the sites -t..-1 last
-    cone = probs[:m]
-    np.einsum("ij,ij->i", amps, amps, out=cone)
-    cone /= M
-    probs[L - t:] = cone[m - t:]  # the sites -t..-1 to the end of the ring
+    probs = np.zeros(L)
+    if n < L:
+        amps = psi.reshape(n, -1).view(np.float64)
+        probs[np.arange(-t, t + 1, 2) % L] = np.einsum("ij,ij->i", amps, amps) / M
+        return probs
+    amps = np.fft.ifft(psi.reshape(L, -1), axis=0).view(np.float64)
+    np.einsum("ij,ij->i", amps, amps, out=probs)
+    probs /= M
     probs[t + 1:L - t] = 0.0
     return probs
 
@@ -230,10 +195,26 @@ def _time_series(dists: Iterator[SiteDistribution], t_max: int,
                           entropy=stats[1], pr=stats[2], distributions=kept)
 
 
-def _bundle_distributions(blocks: MomentumBlockSet, L: int) -> Iterator[SiteDistribution]:
-    """Distributions on the L-ring at t = 0, 1, 2, ... of the block-evolved coin-basis starts."""
-    for t, psi in enumerate(_bundle_states(blocks)):
+def _cone_distributions(blocks: MomentumBlockSet, t_max: int) -> Iterator[SiteDistribution]:
+    """Distributions at t = 0, 1, 2, ... of the coin-basis starts: the window, then the ring.
+
+    The window steps between two buffers, each of the most rows it takes up to t_max.  Once
+    the next cone 2t + 3 exceeds L, the window's sites are distinct mod L, so it is put on the
+    L-ring and Fourier transformed to the bundle (E_k^t)^T, which is stepped from then on."""
+    L, M = blocks.L, blocks.M
+    buffers = np.empty((2, min(t_max + 1, (L + 1) // 2), M, M), dtype=np.complex128)
+    psi = buffers[0, :1]
+    psi[0] = np.eye(M)
+    for t in count():
         yield SiteDistribution(L=L, probs=_bundle_site_probs(psi, t=t, L=L), time=t)
+        if len(psi) == L:
+            psi = _apply_blocks(blocks, psi)
+        elif 2 * t + 3 <= L:
+            psi = _apply_blocks(blocks, psi, out=buffers[(t + 1) % 2])
+        else:
+            ring = np.zeros((L, M, M), dtype=np.complex128)
+            ring[np.arange(-t, t + 1, 2) % L] = psi
+            psi = _apply_blocks(blocks, np.fft.fft(ring, axis=0))
 
 
 def run_time_series(config: WalkConfig, t_max: int,
@@ -242,14 +223,14 @@ def run_time_series(config: WalkConfig, t_max: int,
     """All three observables at every time 0..t_max in one evolution pass.
 
     The coin matrix is built from ``config.coin`` unless an explicit ``U`` is supplied (it must
-    match the coin dimension).  Only the walk on the ring of ``_ring_size(L, t_max)`` sites is
-    stepped: no path of t_max steps wraps it, so up to t_max it is the L-ring walk.
+    match the coin dimension).  The walk is stepped on its light cone while that fits the ring,
+    then on all L momenta.
     """
     _check_t_max(t_max)
     if U is None:
         U = coin_matrix(config.coin)
-    ring = build_momentum_blocks(WalkConfig(L=_ring_size(config.L, t_max), coin=config.coin), U)
-    return _time_series(_bundle_distributions(ring, config.L), t_max, keep_distributions)
+    blocks = build_momentum_blocks(config, U)
+    return _time_series(_cone_distributions(blocks, t_max), t_max, keep_distributions)
 
 
 def trace_site_probabilities(E: NDArray[np.complex128], L: int, M: int,

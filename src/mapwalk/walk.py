@@ -15,10 +15,11 @@ Two equivalent operator representations are built:
   same operator decomposes into L independent M x M blocks
   E_k = D_k U, where D_k carries phases exp(+-2*pi*i*k/L).  Every block
   shares U, so the set is kept factored, as U and the (L, M) phases.
-  This is the default execution path: ``_apply_blocks`` steps each sector
-  of a set, O(M^2) per row, in one GEMM by U^T plus a phase multiply; a
-  time series builds and steps only the blocks of a ring its cone fits in,
-  whose size need not divide L.
+  ``_apply_blocks`` steps each sector of a set, O(M^2) per row, in one GEMM
+  by U^T plus a phase multiply.  A walk released from site 0 can be only on
+  the sites -t, -t + 2, ..., t at time t, and while those fit the ring the
+  same step is taken on that light-cone window in position space, by U^T
+  and a one-row shift of each coin half, with no phases and no FFT.
 
 The lattice Fourier convention is <n|k> = exp(2*pi*i*n*k/L)/sqrt(L); the
 block phases are fixed by requiring exact agreement with the dense
@@ -94,7 +95,8 @@ class MomentumBlockSet:
     @property
     def shape(self) -> tuple[int, int, int]:
         """(L, M, M), the operator stack the set stands for.  perfbench's step count reads
-        it: its 8*L*M^2*R flop for R rows per sector are exactly the GEMM's."""
+        it as 8*L*M^2*R flop for R rows per sector: the GEMM's on all L momenta, more than
+        the 8*(t+1)*M^2*R of a step of the light-cone window at time t."""
         return (self.L, self.M, self.M)
 
 
@@ -149,14 +151,25 @@ def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> Mome
     return MomentumBlockSet(coin=coin, phases=phases)
 
 
-def _apply_blocks(blocks: MomentumBlockSet,
-                  psi: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """One step of all momentum sectors at once: psi (L, R, M) holds R row states per sector.
+def _apply_blocks(blocks: MomentumBlockSet, psi: NDArray[np.complex128],
+                  out: NDArray[np.complex128] | None = None) -> NDArray[np.complex128]:
+    """One step of psi (n, R, M), which holds R row states per row: all momenta, or the window.
 
-    Every row is multiplied by U^T in a single GEMM over all L*R rows, then by
-    its sector's phases, so row r of sector k becomes E_k psi[k, r].
+    With n = L, row k is momentum sector k: every row is multiplied by U^T in a single GEMM
+    over all L*R rows, then by its sector's phases, so row r of sector k becomes E_k psi[k, r].
+    With n < L, psi is the light-cone window of a walk from site 0 at time t = n - 1, row j
+    the site -t + 2j, and the window at t + 1 is written to the C-contiguous ``out[:n + 1]``:
+    the left-moving coin half of row j lands in row j, the right-moving half in row j + 1.
     """
-    L, R, M = psi.shape
-    out = (psi.reshape(L * R, M) @ blocks.coin.T).reshape(L, R, M)
-    out *= blocks.phases[:, None, :]
-    return out
+    n, R, M = psi.shape
+    if n == blocks.L:
+        out = (psi.reshape(n * R, M) @ blocks.coin.T).reshape(n, R, M)
+        out *= blocks.phases[:, None, :]
+        return out
+    h, rows, step = M // 2, psi.reshape(n * R, M), out[:n + 1]
+    # each half is one GEMM written straight into its shifted rows (views, as out is contiguous)
+    np.matmul(rows, blocks.coin[:h].T, out=step[:n, :, :h].reshape(n * R, h))
+    np.matmul(rows, blocks.coin[h:].T, out=step[1:, :, h:].reshape(n * R, M - h))
+    step[n, :, :h] = 0.0
+    step[0, :, h:] = 0.0
+    return step

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from mapwalk import observables
-from mapwalk.observables import _ring_size
 from mapwalk.coins import CoinSpec, dft_coin
 from mapwalk.walk import WalkConfig
 
@@ -55,8 +54,8 @@ def test_traced_walk_meets_the_benchmark_call_counts():
                 "observables.stats": 3 * (T + 1)}
     assert tracer.call_count_failures(expected) == []
     steps = [span for span in tracer.spans if span.name == "walk.step"]
-    # only the ring the cone fits in is stepped: 8 sites of the 16 here
-    assert [span.counts["flop"] for span in steps] == [8 * _ring_size(L, T) * M**3] * T
+    # perfbench counts a step as all L momenta, whatever the rows of the window (t + 1 here)
+    assert [span.counts["flop"] for span in steps] == [8 * L * M**3] * T
 
 
 def test_traced_classical_and_cli_workloads_meet_their_call_counts(tmp_path):

@@ -7,14 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mapwalk import observables
-from mapwalk.coins import CoinSpec, coin_matrix
+from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, momentum_to_site,
                           _apply_blocks)
 from mapwalk.observables import (SiteDistribution, WalkTimeSeries,
                                  site_probabilities, msd, site_entropy,
                                  participation_ratio, run_time_series,
                                  trace_site_probabilities, _bundle_site_probs,
-                                 _bundle_states, _cone_length, _ring_size)
+                                 _bundle_states)
 
 TOL = 1e-10
 
@@ -187,14 +187,15 @@ def test_series_shares_single_evolution_pass():
 
 @pytest.mark.parametrize("coin", [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2),
                                   CoinSpec("baker", 4)])
-def test_site_probabilities_matches_series_bit_for_bit(coin):
-    # both entry points step the same bundle generator
+def test_site_probabilities_matches_series(coin):
+    # the series steps the light-cone window up to t = 9 and all 20 momenta from t = 10,
+    # the oracle all 20 momenta from t = 0: equal to round-off, not bit for bit
     config = WalkConfig(L=20, coin=coin)
     blocks = build_momentum_blocks(config, coin_matrix(coin))
     series = run_time_series(config, 12, keep_distributions=True)
     for t in range(13):
-        assert np.array_equal(site_probabilities(blocks, t).probs,
-                              series.distributions[t].probs), t
+        np.testing.assert_allclose(series.distributions[t].probs,
+                                   site_probabilities(blocks, t).probs, rtol=0, atol=1e-13)
 
 
 def test_series_bit_stable_across_runs():
@@ -256,8 +257,7 @@ def full_transform_probs(psi):
 
 
 CONE_COINS = [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2), CoinSpec("baker", 4)]
-# M^2 >= observables._PRODUCT_MIN_COLUMNS (dft M=32 is on it): the cone is one product up to
-# 2t + 1 = 97, then FFTs
+# wide bundles, of M^2 >= 1024 columns per momentum
 WIDE_CASES = [(CoinSpec("harper", 40, g=2.0, phi=0.2), L) for L in (9, 101, 128)] + [
     (CoinSpec("dft", 32), L) for L in (9, 101)]
 CONE_CASES = ([pytest.param(c, L, id=f"{c.kind}-{L}") for c in CONE_COINS
@@ -277,7 +277,7 @@ def test_light_cone_transform_matches_full_transform(coin, L):
         assert np.all(p[outside[t]] == 0.0)
 
 
-@pytest.mark.parametrize("M", [2, 32])  # the FFT, then (up to 2t + 1 = 97) the product
+@pytest.mark.parametrize("M", [2, 32])
 @pytest.mark.parametrize("L, t", [(9, 2), (101, 30), (128, 45), (101, 60)])
 def test_cone_transform_keeps_each_site_apart_from_its_mirror(M, L, t):
     # coin-averaged walks are mirror symmetric, so only a lopsided bundle tells l from -l;
@@ -293,15 +293,19 @@ def test_cone_transform_keeps_each_site_apart_from_its_mirror(M, L, t):
     np.testing.assert_allclose(got, probs, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("L", [2, 3, 12, 101, 400, 100003, 720720])
-def test_cone_length_is_the_smallest_divisor_covering_the_cone(L):
-    # every t on the small rings; on the large ones (a prime, and 720720 with 240 divisors)
-    # the t whose cone 2t + 1 falls just below, on or just above a divisor, and a spread
-    divisors = [d for d in range(1, L + 1) if L % d == 0]
-    ts = range(L) if L <= 400 else {t for d in divisors for t in (d // 2 - 1, d // 2, d // 2 + 1)
-                                    if 0 <= t < L} | set(range(0, L, L // 97))
-    for t in ts:
-        assert _cone_length(L, t) == min(d for d in divisors if d >= min(2 * t + 1, L))
+@pytest.mark.parametrize("M", [2, 8])
+@pytest.mark.parametrize("L, t", [(3, 1), (9, 4), (101, 30), (128, 45)])
+def test_window_probabilities_keep_each_site_apart_from_its_mirror(M, L, t):
+    # a lopsided window: row j is the site -t + 2j, and the ring's other sites are exactly 0
+    rng = np.random.default_rng(L + t)
+    shape = (t + 1, M, M)
+    window = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    window /= np.sqrt(np.sum(np.abs(window) ** 2) / M)
+    probs = np.zeros(L)
+    probs[np.arange(-t, t + 1, 2) % L] = (np.abs(window) ** 2).reshape(t + 1, -1).sum(axis=1) / M
+    got = _bundle_site_probs(window, t=t, L=L)
+    np.testing.assert_allclose(got, probs, rtol=0, atol=1e-15)
+    assert np.count_nonzero(got) == t + 1
 
 
 @pytest.mark.parametrize("L", [2, 7, 20, 400])
@@ -318,60 +322,57 @@ def test_series_entropy_never_negative():
     assert np.all(series.entropy >= 0.0)
 
 
-def is_3_smooth(n):
-    while n % 2 == 0:
-        n //= 2
-    while n % 3 == 0:
-        n //= 3
-    return n == 1
+def coin_and_partition(kind, M, phi, partition):
+    """The coin matrix of a drawn coin, or for the vertical partition its position-basis form."""
+    spec = CoinSpec(kind, M, g=2.0 if kind == "harper" else 0.0, phi=phi)
+    U = coin_matrix(spec)
+    return spec, U if partition == "horizontal" else coin_in_position_basis(U, spec.resolved_phi)
 
 
 @st.composite
 def ring_and_horizon(draw):
-    """A ring size L and a t_max whose cone 2 t_max + 1 is just below, on or just above a
-    3-smooth ring size or L itself: prime L, powers of two and L with many divisors."""
-    L = draw(st.sampled_from([13, 101, 16, 64, 128, 400, 360]))
-    n = draw(st.sampled_from([n for n in range(3, min(L, 121) + 1) if is_3_smooth(n) or n == L]))
-    return L, max(1, (n - 1) // 2 + draw(st.integers(-1, 1)))
+    """A ring size L, prime, odd or even (2 and 3 among them), and a t_max just short of,
+    at or past (L - 1)/2, the last time whose light cone 2t + 1 fits the ring."""
+    L = draw(st.sampled_from([2, 3, 4, 9, 13, 16, 101, 128]))
+    return L, max(1, (L - 1) // 2 + draw(st.integers(-2, 3)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=ring_and_horizon(), coin=st.sampled_from(CONE_COINS))
-@example(case=(400, 30), coin=CONE_COINS[1])  # the ring is 64; at t = 12 the cone needs 32 momenta
-@example(case=(101, 30), coin=CONE_COINS[0])  # 64 sites, no divisor of 101
-@example(case=(400, 31), coin=CONE_COINS[2])  # the cone is 63: still 64
-@example(case=(400, 32), coin=CONE_COINS[1])  # one step more: 65 needs 72
-@example(case=(101, 50), coin=CONE_COINS[1])  # the next 3-smooth ring, 108, is past L: all 101
-def test_folded_series_matches_the_unfolded_ring(case, coin):
+@given(case=ring_and_horizon(), kind=st.sampled_from(["dft", "harper", "baker"]),
+       M=st.sampled_from([2, 4]), phi=st.sampled_from([None, 0.0, 0.3]),
+       partition=st.sampled_from(["horizontal", "vertical"]))
+@example(case=(2, 1), kind="dft", M=2, phi=None, partition="horizontal")  # wraps at once
+@example(case=(3, 3), kind="harper", M=4, phi=0.3, partition="vertical")
+@example(case=(101, 50), kind="baker", M=4, phi=None, partition="horizontal")  # window to t = 50
+@example(case=(128, 66), kind="harper", M=2, phi=0.3, partition="vertical")  # wraps at t = 64
+def test_window_series_matches_the_block_oracle(case, kind, M, phi, partition):
     L, t_max = case
-    config, U = WalkConfig(L=L, coin=coin), coin_matrix(coin)
+    spec, U = coin_and_partition(kind, M, phi, partition)
+    config = WalkConfig(L=L, coin=spec)
     series = run_time_series(config, t_max, keep_distributions=True, U=U)
     blocks = build_momentum_blocks(config, U)
+    E = build_dense(config, U) if L <= 16 else None
+    starts = np.eye(L * M, M, dtype=complex)  # the columns |0, b>, stepped by the dense E
     for t in range(t_max + 1):
-        np.testing.assert_allclose(series.distributions[t].probs,
-                                   site_probabilities(blocks, t).probs, rtol=0, atol=1e-13)
+        p = series.distributions[t].probs
+        np.testing.assert_allclose(p, site_probabilities(blocks, t).probs, rtol=0, atol=1e-13)
+        if E is not None:
+            dense = (np.abs(starts) ** 2).reshape(L, -1).sum(axis=1) / M
+            np.testing.assert_allclose(p, dense, rtol=0, atol=TOL)
+            starts = E @ starts
 
 
-@pytest.mark.parametrize("L, t_max, stepped", [(400, 30, 64), (16, 3, 8), (101, 30, 64),
-                                               (20, 12, 20), (100003, 200, 432)])
-def test_series_steps_only_the_cone_ring(L, t_max, stepped, monkeypatch):
+@pytest.mark.parametrize("L, t_max", [(2, 3), (3, 3), (9, 8), (16, 3), (20, 12), (400, 30),
+                                      (100003, 200)])
+def test_series_steps_the_window_then_all_momenta(L, t_max, monkeypatch):
+    # the step from t reads the t + 1 window rows while the cone 2t + 3 it reaches fits the
+    # ring, and the L momenta from then on
     sectors = []
 
-    def recorder(blocks, psi):
+    def recorder(blocks, psi, **kwargs):
         sectors.append((blocks.L, psi.shape[0]))
-        return _apply_blocks(blocks, psi)
+        return _apply_blocks(blocks, psi, **kwargs)
 
     monkeypatch.setattr(observables, "_apply_blocks", recorder)
     run_time_series(WalkConfig(L=L, coin=CoinSpec("dft", 2)), t_max)
-    assert _ring_size(L, t_max) == stepped
-    assert sectors == [(stepped, stepped)] * t_max
-
-
-def test_ring_size_is_the_smallest_3_smooth_ring_holding_the_cone():
-    smooth = [n for n in range(1, 20000) if is_3_smooth(n)]
-    for t_max in range(1, 5000):
-        n = min(s for s in smooth if s >= 2 * t_max + 1)
-        assert _ring_size(10**9, t_max) == n
-        # where that is not below L, the L-ring itself
-        assert _ring_size(n, t_max) == _ring_size(n - 1, t_max) + 1 == n
-        assert _ring_size(2 * t_max + 1, t_max) == 2 * t_max + 1
+    assert sectors == [(L, t + 1 if 2 * t + 3 <= L else L) for t in range(t_max)]

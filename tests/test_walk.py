@@ -137,6 +137,28 @@ def test_apply_blocks_matches_stacked_product(kind, M):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("coin", ALL_COINS)
+def test_window_step_matches_dense_amplitudes(coin):
+    # amplitude by amplitude, since the coin average of a walk is mirror symmetric: row j of
+    # the window at time t is the site -t + 2j, with the starts b in rows and the coin in columns
+    L, T, M = 11, 5, coin.M
+    config = WalkConfig(L=L, coin=coin)
+    U = coin_matrix(coin)
+    blocks = build_momentum_blocks(config, U)
+    E = build_dense(config, U)
+    buffers = np.empty((2, T + 1, M, M), dtype=complex)
+    window = buffers[0, :1]
+    window[0] = np.eye(M)
+    starts = np.eye(L * M, M, dtype=complex)  # the columns |0, b>
+    for t in range(1, T + 1):
+        window = _apply_blocks(blocks, window, out=buffers[t % 2])
+        starts = E @ starts
+        want = starts.reshape(L, M, M)[np.arange(-t, t + 1, 2) % L].transpose(0, 2, 1)
+        assert window.shape == (t + 1, M, M)
+        np.testing.assert_allclose(window, want, rtol=0, atol=1e-14)
+        assert abs(np.sum(np.abs(window) ** 2) - M) < TOL  # nothing is left off the window
+
+
 @pytest.mark.parametrize("L", [2, 4, 6])
 @pytest.mark.parametrize("coin", ALL_COINS)
 def test_block_evolution_matches_dense_oracle(L, coin):

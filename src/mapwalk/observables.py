@@ -71,14 +71,15 @@ class SiteDistribution:
 
     def __post_init__(self) -> None:
         if self.probs.shape != (self.L,):
-            raise ValueError(f"probs shape {self.probs.shape} != ({self.L},)")
+            raise ValueError(f"probs shape {self.probs.shape} != ({self.L},) at time {self.time}")
         p = self.probs
         # "not inside" rather than "outside": every comparison with a NaN is false
         if not (p.min(initial=0.0) >= 0.0 and p.max(initial=0.0) <= 1.0 + _NORM_TOL):
-            raise ValueError("probabilities must lie in [0, 1]")
+            raise ValueError(f"probabilities must lie in [0, 1] at time {self.time}")
         total = float(p.sum())
         if abs(total - 1.0) > _NORM_TOL:
-            raise ValueError(f"distribution sums to {total!r}, expected 1 within {_NORM_TOL}")
+            raise ValueError(f"distribution at time {self.time} sums to {total!r}, "
+                             f"expected 1 within {_NORM_TOL}")
 
 
 @dataclass(frozen=True)
@@ -223,8 +224,8 @@ def run_time_series(config: WalkConfig, t_max: int,
     """All three observables at every time 0..t_max in one evolution pass.
 
     The coin matrix is built from ``config.coin`` unless an explicit ``U`` is supplied (it must
-    match the coin dimension).  The walk is stepped on its light cone while that fits the ring,
-    then on all L momenta.
+    be a unitary matrix of the coin dimension).  The walk is stepped on its light cone while that
+    fits the ring, then on all L momenta.
     """
     _check_t_max(t_max)
     if U is None:

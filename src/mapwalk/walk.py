@@ -139,13 +139,16 @@ def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> Mome
     D_k is diagonal with e^{+2*pi*i*k/L} on the left-shifted coin rows and
     e^{-2*pi*i*k/L} on the right-shifted rows; this is exactly the dense
     operator of ``build_dense`` conjugated into the lattice momentum
-    basis <n|k> = exp(2*pi*i*n*k/L)/sqrt(L).
+    basis <n|k> = exp(2*pi*i*n*k/L)/sqrt(L).  ``U`` must be a unitary M x M matrix.
     """
-    _check_coin_dim(config, U)
+    coin = np.array(U, dtype=np.complex128)
+    _check_coin_dim(config, coin)
+    defect = unitarity_defect(coin)
+    if not defect < UNITARITY_TOL:
+        raise ValueError(f"U: coin matrix not unitary (defect {defect:.2e})")
     L = config.L
     signs = np.where(config.left_rows(), 1.0, -1.0)
     phases = np.exp(2j * np.pi * np.outer(np.arange(L), signs) / L)  # (L, M)
-    coin = np.array(U, dtype=np.complex128)
     coin.setflags(write=False)
     phases.setflags(write=False)
     return MomentumBlockSet(coin=coin, phases=phases)

@@ -214,13 +214,35 @@ def test_site_distribution_validation():
         SiteDistribution(L=3, probs=np.full(4, 0.25))
 
 
+def test_site_distribution_errors_name_the_time():
+    with pytest.raises(ValueError, match=r"^distribution at time 7 sums to 0\.875, expected 1 "):
+        SiteDistribution(L=4, probs=np.array([0.5, 0.25, 0.125, 0.0]), time=7)
+    with pytest.raises(ValueError, match=r"^probs shape \(4,\) != \(3,\) at time 2$"):
+        SiteDistribution(L=3, probs=np.full(4, 0.25), time=2)
+
+
+@pytest.mark.parametrize("U", [[[1, 1], [0, 1]], np.eye(2) * 1.5, np.array([[1, 0], [0, 1j]]) * 0.999])
+def test_run_time_series_rejects_a_non_unitary_coin_first(U, monkeypatch):
+    # before the fix a walk went on until a distribution summed to 1.5, naming neither U nor t
+    monkeypatch.setattr(observables, "_apply_blocks", None)
+    with pytest.raises(ValueError, match=r"^U: coin matrix not unitary \(defect "):
+        run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), 1, U=U)
+
+
+def test_run_time_series_takes_a_unitary_coin_as_a_list():
+    config = WalkConfig(L=10, coin=CoinSpec("dft", 2))
+    U = coin_matrix(config.coin)
+    listed = run_time_series(config, 6, U=U.tolist())
+    assert np.array_equal(listed.msd, run_time_series(config, 6, U=U).msd)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [0, 2, 3])
 def test_site_distribution_rejects_non_finite_probabilities(bad, where):
     # every comparison with a NaN is false, so [nan, 0, 0, 1] passed a "< 0 or > 1" check
     probs = np.array([0.0, 0.0, 0.0, 1.0])
     probs[where] = bad
-    with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\]$"):
+    with pytest.raises(ValueError, match=r"^probabilities must lie in \[0, 1\] at time 0$"):
         SiteDistribution(L=4, probs=probs)
 
 

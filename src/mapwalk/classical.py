@@ -113,9 +113,12 @@ class PhaseEnsemble:
             ndim = np.ndim(getattr(self, name))
             if ndim != 1:
                 raise ValueError(f"{name}: must be a 1-D array, got {ndim} dimensions")
-        dtype = np.asarray(self.cells).dtype
-        if not np.issubdtype(dtype, np.integer):
-            raise ValueError(f"cells: must hold integers, got dtype {dtype}")
+        # the shift indexes by the cells; the maps floor and compare q and p
+        for name, kind, what in (("cells", np.integer, "integers"),
+                                 ("q", np.floating, "real floats"), ("p", np.floating, "real floats")):
+            dtype = np.asarray(getattr(self, name)).dtype
+            if not np.issubdtype(dtype, kind):
+                raise ValueError(f"{name}: must hold {what}, got dtype {dtype}")
         n = len(self.cells)
         if len(self.q) != n or len(self.p) != n:
             raise ValueError("cells, q, p must have equal lengths")

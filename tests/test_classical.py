@@ -247,10 +247,15 @@ def test_ensemble_outside_torus_or_ring_rejected(cells, q, p):
     (np.zeros((1, 1), dtype=np.int64), np.array([[0.2]]), np.array([[0.3]]), "cells"),
     (np.array([0]), np.array([[0.2]]), np.array([0.3]), "q"),
     (np.array([0]), np.array([0.2]), np.float64(0.3), "p"),
+    (np.array([0]), np.array([0.25 + 0j]), np.array([0.5]), "q"),
+    (np.array([0]), np.array([0.25]), np.array([0.5 + 0j]), "p"),
+    (np.array([0]), np.array([0]), np.array([0.5]), "q"),
+    (np.array([0]), np.array([0.25]), np.array([False]), "p"),
 ])
 def test_ensemble_the_walk_cannot_step_rejected_naming_the_field(cells, q, p, field):
     # multi_map_step indexes by the cells and classical_site_distribution counts them,
-    # both only for one dimension of integer cells
+    # both only for one dimension of integer cells; the Harper map floors q and p, which
+    # numpy refuses for complex values
     with pytest.raises(ValueError, match=f"^{field}: "):
         PhaseEnsemble(cells=cells, q=q, p=p, L=4)
 

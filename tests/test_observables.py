@@ -384,8 +384,8 @@ def test_window_series_matches_the_block_oracle(case, kind, M, phi, partition):
             starts = E @ starts
 
 
-@pytest.mark.parametrize("L, t_max", [(2, 3), (3, 3), (9, 8), (16, 3), (20, 12), (400, 30),
-                                      (100003, 200)])
+@pytest.mark.parametrize("L, t_max", [(2, 3), (3, 3), (9, 8), (16, 3), (20, 12), (101, 30),
+                                      (400, 30), (100003, 200)])
 def test_series_steps_the_window_then_all_momenta(L, t_max, monkeypatch):
     # the step from t reads the t + 1 window rows while the cone 2t + 3 it reaches fits the
     # ring, and the L momenta from then on

@@ -166,9 +166,9 @@ def _apply_blocks(blocks: MomentumBlockSet, psi: NDArray[np.complex128],
     """
     n, R, M = psi.shape
     if n == blocks.L:
-        out = (psi.reshape(n * R, M) @ blocks.coin.T).reshape(n, R, M)
-        out *= blocks.phases[:, None, :]
-        return out
+        stepped = (psi.reshape(n * R, M) @ blocks.coin.T).reshape(n, R, M)
+        stepped *= blocks.phases[:, None, :]
+        return stepped
     h, rows, step = M // 2, psi.reshape(n * R, M), out[:n + 1]
     # each half is one GEMM written straight into its shifted rows (views, as out is contiguous)
     np.matmul(rows, blocks.coin[:h].T, out=step[:n, :, :h].reshape(n * R, h))

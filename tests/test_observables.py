@@ -223,7 +223,7 @@ def test_site_distribution_errors_name_the_time():
 
 @pytest.mark.parametrize("U", [[[1, 1], [0, 1]], np.eye(2) * 1.5, np.array([[1, 0], [0, 1j]]) * 0.999])
 def test_run_time_series_rejects_a_non_unitary_coin_first(U, monkeypatch):
-    # before the fix a walk went on until a distribution summed to 1.5, naming neither U nor t
+    # unchecked, the walk would step until a distribution summed to 1.5, naming neither U nor t
     monkeypatch.setattr(observables, "_apply_blocks", None)
     with pytest.raises(ValueError, match=r"^U: coin matrix not unitary \(defect "):
         run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), 1, U=U)

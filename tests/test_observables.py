@@ -198,6 +198,20 @@ def test_site_probabilities_matches_series(coin):
                                    site_probabilities(blocks, t).probs, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("coin", [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2),
+                                  CoinSpec("baker", 4)])
+def test_site_probabilities_matches_series_bit_for_bit(coin):
+    # on the smallest ring, L = 2, the cone wraps at t = 0, and the t = 0 window put on the
+    # ring and transformed is exactly the oracle's bundle of identities: from there the series
+    # and the oracle take the same momentum steps and the same site transform
+    config = WalkConfig(L=2, coin=coin)
+    blocks = build_momentum_blocks(config, coin_matrix(coin))
+    series = run_time_series(config, 12, keep_distributions=True)
+    for t in range(13):
+        assert np.array_equal(site_probabilities(blocks, t).probs,
+                              series.distributions[t].probs), t
+
+
 def test_series_bit_stable_across_runs():
     config = WalkConfig(L=30, coin=CoinSpec("harper", 6, g=1.0, phi=0.2))
     a = run_time_series(config, 25)

@@ -6,8 +6,9 @@ states:
 
     p_l(t) = (1/M) sum_{a,b} |<l, a| E^t |0, b>|^2
 
-which coincides with the projector-trace form (1/M) tr(P_l E^{-t} P_0 E^t)
-for every coin shipped here.  Three summary statistics condense p_l(t):
+which is the projector-trace form (1/M) tr(P_l E^t P_0 E^{-t}).  The form
+(1/M) tr(P_l E^{-t} P_0 E^t) is its mirror image p_{-l}(t); the two agree
+only where p_l(t) is mirror symmetric.  Three summary statistics condense p_l(t):
 
 - ``msd``: second moment sum_l p_l d_l^2 with d_l = min(l, L-l), the
   minimal cyclic distance from site 0.
@@ -18,14 +19,12 @@ for every coin shipped here.  Three summary statistics condense p_l(t):
 ``run_time_series`` produces all three at every time step in a single
 pass over the evolution.  The M coin-state evolutions are batched into
 one GEMM per step: the bundle's rows are the evolved coin-basis starts
-|0, b>.  At time t the walker can only be on the sites -t, -t + 2, ..., t
-(the light cone), so while those 2t + 1 sites fit the ring the series
-steps just them in position space, as a window of t + 1 rows, and p_l(t)
-is their |amplitude|^2 with no transform; every other site is exactly 0.
-Once the cone wraps, the window is put on the L-ring and Fourier
-transformed once, and the bundle (E_k^t)^T of one M x M block per lattice
-momentum k is stepped on, each p_l(t) then taking a full inverse FFT.
-``site_probabilities`` steps all L momenta from t = 0: the block oracle.
+|0, b>.  At time t the walker can only be on the sites -t + 2j mod L (the
+light cone), so the series steps just them in position space, as a window
+of min(t + 1, R) rows, R = L // gcd(L, 2), cycling on the ring once the
+cone wraps; p_l(t) is their |amplitude|^2, every other site exactly 0.
+``site_probabilities`` steps the bundle (E_k^t)^T of all L momenta k and
+inverse-transforms it: the block oracle.
 The reduction order is fixed, so repeated runs are bit-identical.
 Classical ensembles share the loop.
 """
@@ -42,7 +41,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import coin_matrix
-from .walk import WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks
+from .walk import (WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks,
+                   _momentum_step)
 
 __all__ = [
     "SiteDistribution",
@@ -128,44 +128,37 @@ def participation_ratio(dist: SiteDistribution) -> float:
     return float(1.0 / (dist.L * np.sum(dist.probs**2)))
 
 
-def _initial_bundle(L: int, M: int) -> NDArray[np.complex128]:
-    """E_k^0 = 1 in every momentum sector, stacked.
-
-    Shape (L, M, M): axis 0 is lattice momentum, axis 1 indexes which
-    initial coin state |0, b> the row belongs to, axis 2 the coin index a.
-    Stepping keeps (E_k^t)^T here, and the inverse FFT (with its 1/L) turns
-    that into the site amplitudes <l, a|E^t|0, b>.
-    """
-    return np.broadcast_to(np.eye(M, dtype=np.complex128), (L, M, M)).copy()
-
-
 def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArray[np.float64]:
-    """Coin-averaged L-ring site probabilities at time t of the light-cone window or the bundle.
+    """Coin-averaged L-ring site probabilities at time t of the light-cone window ``psi``.
 
-    ``psi`` (the one positional argument: perfbench's transform count unpacks it) is either the
-    window (t + 1 < L rows, the sites -t, -t + 2, ..., t), whose |.|^2 is scattered to those
-    sites with every other site exactly 0, or the bundle (E_k^t)^T of all L momenta, which is
-    inverse-transformed in full; its sites outside -t..t, where the walk cannot be, are set to 0.
-    """
+    ``psi`` (the one positional argument: perfbench's transform count unpacks it) has a row
+    per site -t + 2j mod L; its |.|^2 is scattered to those sites, every other site is 0."""
     n, M = psi.shape[:2]
     probs = np.zeros(L)
-    if n < L:
-        amps = psi.reshape(n, -1).view(np.float64)
-        probs[np.arange(-t, t + 1, 2) % L] = np.einsum("ij,ij->i", amps, amps) / M
-        return probs
+    amps = psi.reshape(n, -1).view(np.float64)
+    probs[(2 * np.arange(n) - t) % L] = np.einsum("ij,ij->i", amps, amps) / M
+    return probs
+
+
+def _momentum_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArray[np.float64]:
+    """Coin-averaged site probabilities at time t of the bundle (E_k^t)^T of all L momenta,
+    inverse-transformed in full; its sites outside -t..t, where the walk cannot be, are 0."""
     amps = np.fft.ifft(psi.reshape(L, -1), axis=0).view(np.float64)
-    np.einsum("ij,ij->i", amps, amps, out=probs)
-    probs /= M
+    probs = np.einsum("ij,ij->i", amps, amps) / psi.shape[1]
     probs[t + 1:L - t] = 0.0
     return probs
 
 
 def _bundle_states(blocks: MomentumBlockSet) -> Iterator[NDArray[np.complex128]]:
-    """The one quantum stepper: the bundle at t = 0, 1, 2, ..., stepped only when resumed."""
-    psi = _initial_bundle(blocks.L, blocks.M)
+    """The oracle's bundle (E_k^t)^T at t = 0, 1, 2, ..., stepped only when resumed.
+
+    Shape (L, M, M): axis 0 is lattice momentum, axis 1 the start |0, b> a row belongs to,
+    axis 2 the coin index a; the inverse FFT (with its 1/L) turns it into <l, a|E^t|0, b>."""
+    L, M = blocks.L, blocks.M
+    psi = np.broadcast_to(np.eye(M, dtype=np.complex128), (L, M, M)).copy()
     while True:
         yield psi
-        psi = _apply_blocks(blocks, psi)
+        psi = _momentum_step(blocks, psi)
 
 
 def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
@@ -173,7 +166,7 @@ def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     psi = next(islice(_bundle_states(blocks), t, None))  # no site transform before t
-    return SiteDistribution(L=blocks.L, probs=_bundle_site_probs(psi, t=t, L=blocks.L), time=t)
+    return SiteDistribution(L=blocks.L, probs=_momentum_site_probs(psi, t=t, L=blocks.L), time=t)
 
 
 def _check_t_max(t_max: int) -> None:
@@ -197,25 +190,16 @@ def _time_series(dists: Iterator[SiteDistribution], t_max: int,
 
 
 def _cone_distributions(blocks: MomentumBlockSet, t_max: int) -> Iterator[SiteDistribution]:
-    """Distributions at t = 0, 1, 2, ... of the coin-basis starts: the window, then the ring.
+    """Distributions at t = 0, 1, 2, ... of the coin-basis starts, stepped on the light-cone window.
 
-    The window steps between two buffers, each of the most rows it takes up to t_max.  Once
-    the next cone 2t + 3 exceeds L, the window's sites are distinct mod L, so it is put on the
-    L-ring and Fourier transformed to the bundle (E_k^t)^T, which is stepped from then on."""
+    The window steps between two buffers, each one row longer than the most rows it takes."""
     L, M = blocks.L, blocks.M
-    buffers = np.empty((2, min(t_max + 1, (L + 1) // 2), M, M), dtype=np.complex128)
+    buffers = np.empty((2, min(t_max, blocks.ring_rows) + 1, M, M), dtype=np.complex128)
     psi = buffers[0, :1]
     psi[0] = np.eye(M)
     for t in count():
         yield SiteDistribution(L=L, probs=_bundle_site_probs(psi, t=t, L=L), time=t)
-        if len(psi) == L:
-            psi = _apply_blocks(blocks, psi)
-        elif 2 * t + 3 <= L:
-            psi = _apply_blocks(blocks, psi, out=buffers[(t + 1) % 2])
-        else:
-            ring = np.zeros((L, M, M), dtype=np.complex128)
-            ring[np.arange(-t, t + 1, 2) % L] = psi
-            psi = _apply_blocks(blocks, np.fft.fft(ring, axis=0))
+        psi = _apply_blocks(blocks, psi, out=buffers[(t + 1) % 2])
 
 
 def run_time_series(config: WalkConfig, t_max: int,
@@ -224,8 +208,7 @@ def run_time_series(config: WalkConfig, t_max: int,
     """All three observables at every time 0..t_max in one evolution pass.
 
     The coin matrix is built from ``config.coin`` unless an explicit ``U`` is supplied (it must
-    be a unitary matrix of the coin dimension).  The walk is stepped on its light cone while that
-    fits the ring, then on all L momenta.
+    be a unitary matrix of the coin dimension).  The walk is stepped on its light cone.
     """
     _check_t_max(t_max)
     if U is None:
@@ -236,7 +219,7 @@ def run_time_series(config: WalkConfig, t_max: int,
 
 def trace_site_probabilities(E: NDArray[np.complex128], L: int, M: int,
                              t: int) -> NDArray[np.float64]:
-    """Oracle: p_l(t) = (1/M) tr(P_l E^{-t} P_0 E^t) by dense matrix algebra.
+    """Oracle: p_l(t) = (1/M) tr(P_l E^t P_0 E^{-t}) by dense matrix algebra.
 
     Deliberately independent of the block evolution path: builds the
     projector matrices explicitly and uses matrix powers.
@@ -247,7 +230,7 @@ def trace_site_probabilities(E: NDArray[np.complex128], L: int, M: int,
     Et = np.linalg.matrix_power(E, t)
     P0 = np.zeros((dim, dim), dtype=np.complex128)
     P0[:M, :M] = np.eye(M)
-    core = Et.conj().T @ P0 @ Et
+    core = Et @ P0 @ Et.conj().T
     probs = np.empty(L)
     for l in range(L):
         Pl = np.zeros((dim, dim), dtype=np.complex128)

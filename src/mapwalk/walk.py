@@ -15,11 +15,13 @@ Two equivalent operator representations are built:
   same operator decomposes into L independent M x M blocks
   E_k = D_k U, where D_k carries phases exp(+-2*pi*i*k/L).  Every block
   shares U, so the set is kept factored, as U and the (L, M) phases.
-  ``_apply_blocks`` steps each sector of a set, O(M^2) per row, in one GEMM
-  by U^T plus a phase multiply.  A walk released from site 0 can be only on
-  the sites -t, -t + 2, ..., t at time t, and while those fit the ring the
-  same step is taken on that light-cone window in position space, by U^T
-  and a one-row shift of each coin half, with no phases and no FFT.
+  ``_momentum_step`` steps all L sectors, O(M^2) per row, in one GEMM by U^T
+  plus a phase multiply: the reference of the tests and of the block oracle.
+
+A walk released from site 0 can be only on the min(t + 1, R) sites -t + 2j
+mod L at time t, R = L // gcd(L, 2): its light cone.  ``_apply_blocks`` steps
+that window in position space by U^T and a one-row shift of each coin half,
+with no phases and no FFT; once the cone wraps, the window cycles on the ring.
 
 The lattice Fourier convention is <n|k> = exp(2*pi*i*n*k/L)/sqrt(L); the
 block phases are fixed by requiring exact agreement with the dense
@@ -35,6 +37,7 @@ state, so blocks may be processed concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +97,15 @@ class MomentumBlockSet:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(L, M, M), the operator stack the set stands for.  perfbench's step count reads
-        it as 8*L*M^2*R flop for R rows per sector: the GEMM's on all L momenta, more than
-        the 8*(t+1)*M^2*R of a step of the light-cone window at time t."""
+        """(L, M, M), the operator stack the set stands for.  perfbench's step count reads it
+        as 8*L*M^2*S flop for S rows per sector, all L momenta; a step of the light-cone window
+        at time t does 8*min(t + 1, ring_rows)*M^2*S."""
         return (self.L, self.M, self.M)
+
+    @property
+    def ring_rows(self) -> int:
+        """L // gcd(L, 2), the sites a walk from site 0 can be on at once after its cone wraps."""
+        return self.L // math.gcd(self.L, 2)
 
 
 def momentum_to_site(psi: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -154,25 +162,32 @@ def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> Mome
     return MomentumBlockSet(coin=coin, phases=phases)
 
 
-def _apply_blocks(blocks: MomentumBlockSet, psi: NDArray[np.complex128],
-                  out: NDArray[np.complex128] | None = None) -> NDArray[np.complex128]:
-    """One step of psi (n, R, M), which holds R row states per row: all momenta, or the window.
+def _momentum_step(blocks: MomentumBlockSet, psi: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """One step of all L momentum sectors psi (L, S, M), S rows each, for the oracle: one GEMM
+    by U^T over all L*S rows, then the sector phases, so row r of sector k becomes E_k psi[k, r]."""
+    L, S, M = psi.shape
+    stepped = (psi.reshape(L * S, M) @ blocks.coin.T).reshape(L, S, M)
+    stepped *= blocks.phases[:, None, :]
+    return stepped
 
-    With n = L, row k is momentum sector k: every row is multiplied by U^T in a single GEMM
-    over all L*R rows, then by its sector's phases, so row r of sector k becomes E_k psi[k, r].
-    With n < L, psi is the light-cone window of a walk from site 0 at time t = n - 1, row j
-    the site -t + 2j, and the window at t + 1 is written to the C-contiguous ``out[:n + 1]``:
-    the left-moving coin half of row j lands in row j, the right-moving half in row j + 1.
+
+def _apply_blocks(blocks: MomentumBlockSet, psi: NDArray[np.complex128],
+                  out: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """One step of the light-cone window psi (n, S, M) of a walk from site 0, S rows per site.
+
+    Row j is the site -t + 2j mod L at time t.  The window at t + 1 is written to the
+    C-contiguous ``out`` (n + 1 rows or more) and returned: the left-moving coin half of row j
+    lands in row j, the right-moving half in row j + 1, or in row 0 for the last row once the
+    window has ``blocks.ring_rows`` rows, every site the walk can be on.
     """
-    n, R, M = psi.shape
-    if n == blocks.L:
-        stepped = (psi.reshape(n * R, M) @ blocks.coin.T).reshape(n, R, M)
-        stepped *= blocks.phases[:, None, :]
-        return stepped
-    h, rows, step = M // 2, psi.reshape(n * R, M), out[:n + 1]
+    n, S, M = psi.shape
+    h, rows, step = M // 2, psi.reshape(n * S, M), out[:n + 1]
     # each half is one GEMM written straight into its shifted rows (views, as out is contiguous)
-    np.matmul(rows, blocks.coin[:h].T, out=step[:n, :, :h].reshape(n * R, h))
-    np.matmul(rows, blocks.coin[h:].T, out=step[1:, :, h:].reshape(n * R, M - h))
+    np.matmul(rows, blocks.coin[:h].T, out=step[:n, :, :h].reshape(n * S, h))
+    np.matmul(rows, blocks.coin[h:].T, out=step[1:, :, h:].reshape(n * S, M - h))
     step[n, :, :h] = 0.0
     step[0, :, h:] = 0.0
-    return step
+    rows_next = min(n + 1, blocks.ring_rows)
+    # once the window fills the ring its row n is row 0; until then this copies no row
+    step[:n + 1 - rows_next, :, h:] = step[rows_next:, :, h:]
+    return step[:rows_next]

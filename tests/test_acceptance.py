@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from mapwalk import cellmaps, classical
-from mapwalk.coins import CoinSpec, coin_matrix, unitarity_defect
+from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix, unitarity_defect
 from mapwalk.walk import WalkConfig, build_dense, build_momentum_blocks, momentum_to_site
 from mapwalk.observables import (site_probabilities, run_time_series,
                                  trace_site_probabilities)
@@ -95,10 +95,14 @@ def test_criterion_02_block_vs_dense_oracle():
 
 
 def test_criterion_03_trace_formula_equivalence():
-    for coin in [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2),
-                 CoinSpec("harper", 4, g=1.0), CoinSpec("baker", 4)]:
+    # the vertical-partition DFT coin with phi != 0 has no mirror-symmetric p_l(t), so it tells
+    # the forward trace form from its mirror image
+    vertical = CoinSpec("dft", 4, phi=0.3)
+    for coin, U in [*((c, coin_matrix(c)) for c in [
+            CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2),
+            CoinSpec("harper", 4, g=1.0), CoinSpec("baker", 4)]),
+            (vertical, coin_in_position_basis(coin_matrix(vertical), vertical.resolved_phi))]:
         config = WalkConfig(L=6, coin=coin)
-        U = coin_matrix(coin)
         E = build_dense(config, U)
         blocks = build_momentum_blocks(config, U)
         for t in range(11):

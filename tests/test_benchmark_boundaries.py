@@ -41,21 +41,22 @@ def test_every_traced_boundary_is_bound():
 
 
 def test_traced_walk_meets_the_benchmark_call_counts():
-    L, M, T = 16, 4, 3
-    tracer = _load("tracing").Tracer()
-    tracer.install()
-    try:
-        observables.run_time_series(WalkConfig(L=L, coin=CoinSpec("dft", M)), T,
-                                    keep_distributions=True, U=dft_coin(M))
-    finally:
-        tracer.uninstall()
-    expected = {"walk.blocks": 1, "observables.series": 1, "walk.step": T,
-                "observables.site_transform": T + 1, "observables.dist_check": T + 1,
-                "observables.stats": 3 * (T + 1)}
-    assert tracer.call_count_failures(expected) == []
-    steps = [span for span in tracer.spans if span.name == "walk.step"]
-    # perfbench counts a step as all L momenta, whatever the rows of the window (t + 1 here)
-    assert [span.counts["flop"] for span in steps] == [8 * L * M**3] * T
+    # the second run wraps the ring at t = 2, and its window then cycles on the L/2 = 3 sites
+    for L, M, T in ((16, 4, 3), (6, 4, 10)):
+        tracer = _load("tracing").Tracer()
+        tracer.install()
+        try:
+            observables.run_time_series(WalkConfig(L=L, coin=CoinSpec("dft", M)), T,
+                                        keep_distributions=True, U=dft_coin(M))
+        finally:
+            tracer.uninstall()
+        expected = {"walk.blocks": 1, "observables.series": 1, "walk.step": T,
+                    "observables.site_transform": T + 1, "observables.dist_check": T + 1,
+                    "observables.stats": 3 * (T + 1)}
+        assert tracer.call_count_failures(expected) == [], L
+        steps = [span for span in tracer.spans if span.name == "walk.step"]
+        # perfbench counts a step as all L momenta, whatever the rows of the window
+        assert [span.counts["flop"] for span in steps] == [8 * L * M**3] * T, L
 
 
 def test_traced_classical_and_cli_workloads_meet_their_call_counts(tmp_path):

@@ -9,12 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from mapwalk import observables
 from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, momentum_to_site,
-                          _apply_blocks)
+                          _apply_blocks, _momentum_step)
 from mapwalk.observables import (SiteDistribution, WalkTimeSeries,
                                  site_probabilities, msd, site_entropy,
                                  participation_ratio, run_time_series,
                                  trace_site_probabilities, _bundle_site_probs,
-                                 _bundle_states)
+                                 _bundle_states, _momentum_site_probs)
 
 TOL = 1e-10
 
@@ -78,6 +78,21 @@ def test_trace_formula_matches_averaged_amplitudes(coin):
         assert np.max(np.abs(via_trace - via_amps)) < TOL
 
 
+def test_backward_trace_form_is_the_mirrored_distribution():
+    # (1/M) tr(P_l E^{-t} P_0 E^t) is the probability of going from l to 0, by translation
+    # invariance p_{-l}(t); this coin's p_l(t) is not mirror symmetric, so the two differ
+    spec = CoinSpec("dft", 4, phi=0.3)
+    L, M, t = 9, 4, 4
+    U = coin_in_position_basis(coin_matrix(spec), spec.resolved_phi)
+    E = build_dense(WalkConfig(L=L, coin=spec), U)
+    # the diagonal of E^{-t} P_0 E^t at (l, a) is sum_b |<0, b|E^t|l, a>|^2
+    Et = np.linalg.matrix_power(E, t)
+    backward = (np.abs(Et[:M]) ** 2).sum(axis=0).reshape(L, M).sum(axis=1) / M
+    forward = trace_site_probabilities(E, L, M, t)
+    np.testing.assert_allclose(backward, forward[-np.arange(L) % L], rtol=0, atol=TOL)
+    assert np.max(np.abs(backward - forward)) > 0.01
+
+
 def test_coin_basis_independence_of_distribution():
     # Averaging over any rotated orthonormal coin basis leaves p_l(t)
     # unchanged (trace invariance): seed the bundle with V instead of I.
@@ -92,7 +107,7 @@ def test_coin_basis_independence_of_distribution():
     reference = site_probabilities(blocks, 8).probs
     psi = np.broadcast_to(V.T / np.sqrt(L), (L, 4, 4)).copy()  # rows are the starts
     for _ in range(8):
-        psi = _apply_blocks(blocks, psi)
+        psi = _momentum_step(blocks, psi)
     rotated = (np.abs(momentum_to_site(psi)) ** 2).sum(axis=(1, 2)) / 4
     np.testing.assert_allclose(rotated, reference, atol=TOL)
 
@@ -188,28 +203,15 @@ def test_series_shares_single_evolution_pass():
 @pytest.mark.parametrize("coin", [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2),
                                   CoinSpec("baker", 4)])
 def test_site_probabilities_matches_series(coin):
-    # the series steps the light-cone window up to t = 9 and all 20 momenta from t = 10,
-    # the oracle all 20 momenta from t = 0: equal to round-off, not bit for bit
-    config = WalkConfig(L=20, coin=coin)
-    blocks = build_momentum_blocks(config, coin_matrix(coin))
-    series = run_time_series(config, 12, keep_distributions=True)
-    for t in range(13):
-        np.testing.assert_allclose(series.distributions[t].probs,
-                                   site_probabilities(blocks, t).probs, rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("coin", [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2),
-                                  CoinSpec("baker", 4)])
-def test_site_probabilities_matches_series_bit_for_bit(coin):
-    # on the smallest ring, L = 2, the cone wraps at t = 0, and the t = 0 window put on the
-    # ring and transformed is exactly the oracle's bundle of identities: from there the series
-    # and the oracle take the same momentum steps and the same site transform
-    config = WalkConfig(L=2, coin=coin)
-    blocks = build_momentum_blocks(config, coin_matrix(coin))
-    series = run_time_series(config, 12, keep_distributions=True)
-    for t in range(13):
-        assert np.array_equal(site_probabilities(blocks, t).probs,
-                              series.distributions[t].probs), t
+    # the series steps the light-cone window, which wraps the ring at t = 0 for L = 2 and at
+    # t = 10 for L = 20, the oracle all L momenta: equal to round-off, not bit for bit
+    for L in (2, 20):
+        config = WalkConfig(L=L, coin=coin)
+        blocks = build_momentum_blocks(config, coin_matrix(coin))
+        series = run_time_series(config, 12, keep_distributions=True)
+        for t in range(13):
+            np.testing.assert_allclose(series.distributions[t].probs,
+                                       site_probabilities(blocks, t).probs, rtol=0, atol=1e-13)
 
 
 def test_series_bit_stable_across_runs():
@@ -308,7 +310,7 @@ def test_light_cone_transform_matches_full_transform(coin, L):
     sites = np.arange(L)
     outside = np.minimum(sites, L - sites)[None, :] > np.arange(L // 2 + 3)[:, None]
     for t, psi in zip(range(L // 2 + 3), _bundle_states(blocks)):
-        p = _bundle_site_probs(psi, t=t, L=L)
+        p = _momentum_site_probs(psi, t=t, L=L)
         np.testing.assert_allclose(p, full_transform_probs(psi), rtol=0, atol=1e-14)
         assert np.all(p[outside[t]] == 0.0)
 
@@ -325,23 +327,25 @@ def test_cone_transform_keeps_each_site_apart_from_its_mirror(M, L, t):
     amps[cone] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2) / M)
     probs = (np.abs(amps) ** 2).reshape(L, -1).sum(axis=1) / M
-    got = _bundle_site_probs(np.fft.fft(amps, axis=0), t=t, L=L)
+    got = _momentum_site_probs(np.fft.fft(amps, axis=0), t=t, L=L)
     np.testing.assert_allclose(got, probs, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("M", [2, 8])
-@pytest.mark.parametrize("L, t", [(3, 1), (9, 4), (101, 30), (128, 45)])
+@pytest.mark.parametrize("L, t", [(3, 1), (9, 4), (101, 30), (128, 45), (9, 20), (128, 300)])
 def test_window_probabilities_keep_each_site_apart_from_its_mirror(M, L, t):
-    # a lopsided window: row j is the site -t + 2j, and the ring's other sites are exactly 0
+    # a lopsided window: row j is the site -t + 2j mod L, and the ring's other sites are exactly
+    # 0; past the wrap the window has R = L // gcd(L, 2) rows
+    rows = min(t + 1, L // math.gcd(L, 2))
     rng = np.random.default_rng(L + t)
-    shape = (t + 1, M, M)
+    shape = (rows, M, M)
     window = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     window /= np.sqrt(np.sum(np.abs(window) ** 2) / M)
     probs = np.zeros(L)
-    probs[np.arange(-t, t + 1, 2) % L] = (np.abs(window) ** 2).reshape(t + 1, -1).sum(axis=1) / M
+    probs[(2 * np.arange(rows) - t) % L] = (np.abs(window) ** 2).reshape(rows, -1).sum(axis=1) / M
     got = _bundle_site_probs(window, t=t, L=L)
     np.testing.assert_allclose(got, probs, rtol=0, atol=1e-15)
-    assert np.count_nonzero(got) == t + 1
+    assert np.count_nonzero(got) == rows
 
 
 @pytest.mark.parametrize("L", [2, 7, 20, 400])
@@ -367,10 +371,11 @@ def coin_and_partition(kind, M, phi, partition):
 
 @st.composite
 def ring_and_horizon(draw):
-    """A ring size L, prime, odd or even (2 and 3 among them), and a t_max just short of,
-    at or past (L - 1)/2, the last time whose light cone 2t + 1 fits the ring."""
+    """A ring size L, prime, odd or even (2 and 3 among them), and a t_max: for L <= 16 past
+    3L, several wraps of the light cone; for larger L just short of, at or past (L - 1)/2, the
+    last time whose cone 2t + 1 fits the ring."""
     L = draw(st.sampled_from([2, 3, 4, 9, 13, 16, 101, 128]))
-    return L, max(1, (L - 1) // 2 + draw(st.integers(-2, 3)))
+    return L, max(1, (3 * L if L <= 16 else (L - 1) // 2) + draw(st.integers(-2, 3)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,6 +384,8 @@ def ring_and_horizon(draw):
        partition=st.sampled_from(["horizontal", "vertical"]))
 @example(case=(2, 1), kind="dft", M=2, phi=None, partition="horizontal")  # wraps at once
 @example(case=(3, 3), kind="harper", M=4, phi=0.3, partition="vertical")
+@example(case=(16, 51), kind="dft", M=4, phi=0.3, partition="vertical")  # three wraps
+@example(case=(13, 42), kind="baker", M=2, phi=None, partition="horizontal")
 @example(case=(101, 50), kind="baker", M=4, phi=None, partition="horizontal")  # window to t = 50
 @example(case=(128, 66), kind="harper", M=2, phi=0.3, partition="vertical")  # wraps at t = 64
 def test_window_series_matches_the_block_oracle(case, kind, M, phi, partition):
@@ -401,8 +408,8 @@ def test_window_series_matches_the_block_oracle(case, kind, M, phi, partition):
 @pytest.mark.parametrize("L, t_max", [(2, 3), (3, 3), (9, 8), (16, 3), (20, 12), (101, 30),
                                       (400, 30), (100003, 200)])
 def test_series_steps_the_window_then_all_momenta(L, t_max, monkeypatch):
-    # the step from t reads the t + 1 window rows while the cone 2t + 3 it reaches fits the
-    # ring, and the L momenta from then on
+    # the step from t reads the t + 1 window rows until they fill the R = L // gcd(L, 2) sites
+    # of the walk's parity on the ring, and all R of them from then on
     sectors = []
 
     def recorder(blocks, psi, **kwargs):
@@ -411,4 +418,16 @@ def test_series_steps_the_window_then_all_momenta(L, t_max, monkeypatch):
 
     monkeypatch.setattr(observables, "_apply_blocks", recorder)
     run_time_series(WalkConfig(L=L, coin=CoinSpec("dft", 2)), t_max)
-    assert sectors == [(L, t + 1 if 2 * t + 3 <= L else L) for t in range(t_max)]
+    assert sectors == [(L, min(t + 1, L // math.gcd(L, 2))) for t in range(t_max)]
+
+
+@pytest.mark.parametrize("L", [9, 12, 20])
+@pytest.mark.parametrize("coin", CONE_COINS + [CoinSpec("dft", 2)])
+def test_series_is_exactly_zero_off_the_walks_sites(coin, L):
+    # at time t the walk from site 0 is only on the sites -t + 2j mod L, which after the wrap
+    # are those of the parity of t on an even ring: no round-off may leak onto the others
+    series = run_time_series(WalkConfig(L=L, coin=coin), 3 * L + 1, keep_distributions=True)
+    for t, d in enumerate(series.distributions):
+        off = np.ones(L, dtype=bool)
+        off[(2 * np.arange(L) - t) % L] = False
+        assert np.all(d.probs[off] == 0.0), t

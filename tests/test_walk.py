@@ -1,5 +1,6 @@
 """Tests for the walk operator and its evolution."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix, dft_coin
 from mapwalk.observables import _bundle_states, site_probabilities
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, _apply_blocks,
-                          momentum_to_site)
+                          _momentum_step, momentum_to_site)
 
 TOL = 1e-10
 
@@ -29,7 +30,7 @@ def coin_averaged_probs_dense(E, L, M, t):
 
 
 def momentum_column(L, M, coin):
-    """|site 0> x |coin> in the momentum basis, as an (L, 1, M) row for _apply_blocks."""
+    """|site 0> x |coin> in the momentum basis, as an (L, 1, M) row for _momentum_step."""
     psi = np.zeros((L, 1, M), dtype=complex)
     psi[:, 0, coin] = 1.0 / np.sqrt(L)
     return psi
@@ -37,7 +38,7 @@ def momentum_column(L, M, coin):
 
 def step_column(blocks, psi, steps):
     for _ in range(steps):
-        psi = _apply_blocks(blocks, psi)
+        psi = _momentum_step(blocks, psi)
     return psi
 
 
@@ -132,7 +133,7 @@ def test_apply_blocks_matches_stacked_product(kind, M):
             psi = rng.normal(size=(L, R, M)) + 1j * rng.normal(size=(L, R, M))
             psi /= np.linalg.norm(psi, axis=2, keepdims=True)
             want = np.matmul(stack, psi.transpose(0, 2, 1)).transpose(0, 2, 1)
-            got = _apply_blocks(blocks, psi)
+            got = _momentum_step(blocks, psi)
             assert got.shape == (L, R, M)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
@@ -140,23 +141,27 @@ def test_apply_blocks_matches_stacked_product(kind, M):
 @pytest.mark.parametrize("coin", ALL_COINS)
 def test_window_step_matches_dense_amplitudes(coin):
     # amplitude by amplitude, since the coin average of a walk is mirror symmetric: row j of
-    # the window at time t is the site -t + 2j, with the starts b in rows and the coin in columns
-    L, T, M = 11, 5, coin.M
-    config = WalkConfig(L=L, coin=coin)
+    # the window at time t is the site -t + 2j mod L, with the starts b in rows and the coin in
+    # columns; past the wrap the window keeps R = L // gcd(L, 2) rows, on even and odd rings
+    M = coin.M
     U = coin_matrix(coin)
-    blocks = build_momentum_blocks(config, U)
-    E = build_dense(config, U)
-    buffers = np.empty((2, T + 1, M, M), dtype=complex)
-    window = buffers[0, :1]
-    window[0] = np.eye(M)
-    starts = np.eye(L * M, M, dtype=complex)  # the columns |0, b>
-    for t in range(1, T + 1):
-        window = _apply_blocks(blocks, window, out=buffers[t % 2])
-        starts = E @ starts
-        want = starts.reshape(L, M, M)[np.arange(-t, t + 1, 2) % L].transpose(0, 2, 1)
-        assert window.shape == (t + 1, M, M)
-        np.testing.assert_allclose(window, want, rtol=0, atol=1e-14)
-        assert abs(np.sum(np.abs(window) ** 2) - M) < TOL  # nothing is left off the window
+    for L in (4, 5, 11):
+        T, R = 3 * L, L // math.gcd(L, 2)
+        config = WalkConfig(L=L, coin=coin)
+        blocks = build_momentum_blocks(config, U)
+        E = build_dense(config, U)
+        buffers = np.empty((2, R + 1, M, M), dtype=complex)
+        window = buffers[0, :1]
+        window[0] = np.eye(M)
+        starts = np.eye(L * M, M, dtype=complex)  # the columns |0, b>
+        for t in range(1, T + 1):
+            window = _apply_blocks(blocks, window, out=buffers[t % 2])
+            starts = E @ starts
+            rows = min(t + 1, R)
+            want = starts.reshape(L, M, M)[(2 * np.arange(rows) - t) % L].transpose(0, 2, 1)
+            assert window.shape == (rows, M, M)
+            np.testing.assert_allclose(window, want, rtol=0, atol=1e-14)
+            assert abs(np.sum(np.abs(window) ** 2) - M) < TOL  # nothing is left off the window
 
 
 @pytest.mark.parametrize("L", [2, 4, 6])

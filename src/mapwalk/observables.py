@@ -136,7 +136,7 @@ def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArra
     n, M = psi.shape[:2]
     probs = np.zeros(L)
     amps = psi.reshape(n, -1).view(np.float64)
-    probs[(2 * np.arange(n) - t) % L] = np.einsum("ij,ij->i", amps, amps) / M
+    probs[np.arange(-t, 2 * n - t, 2) % L] = np.einsum("ij,ij->i", amps, amps) / M
     return probs
 
 

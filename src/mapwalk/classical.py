@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cellmaps import rotation_map, baker_map, harper_map
-from .coins import CoinSpec, _check_kick
+from .coins import CoinSpec, _check_integer, _check_kick
 from .observables import SiteDistribution, WalkTimeSeries, _check_t_max, _time_series
 # bound here as well because perfbench traces the statistics in this namespace
 from .observables import msd, site_entropy, participation_ratio  # noqa: F401
@@ -124,6 +124,7 @@ class PhaseEnsemble:
             raise ValueError("cells, q, p must have equal lengths")
         if n == 0:
             raise ValueError("ensemble must contain at least one point")
+        _check_integer("L", self.L)
         if self.L < 2:
             raise ValueError(f"lattice size L must be >= 2, got {self.L}")
         # min/max reductions make no mask arrays; a NaN fails every comparison

@@ -1,28 +1,19 @@
 """Quantum coin unitaries built from quantized single-cell dynamics.
 
-Three coin families are provided, all returned as dense complex128
-matrices in the coin basis {|0>, ..., |M-1>}:
-
-- ``dft_coin``: the M-dimensional discrete Fourier coin, equal to the
-  Hadamard matrix for M=2.  Its classical limit is a rigid quarter-turn
-  rotation of the unit cell.
-- ``harper_coin``: the one-period propagator of the kicked Harper system
-  on the unit torus, quantized with effective Planck constant h = 1/M and
-  a boundary phase ``phi`` on both position and momentum states.  The
-  chaos parameter ``g`` drives the classical cell dynamics from
-  integrable to chaotic.
-- ``baker_coin``: the quantized baker transformation, a two-block
-  Fourier construction with quasi-periodic boundary phase ``phi``
-  (antiperiodic, ``phi = 1/2``, by convention).
-
-Every builder checks unitarity of its result to 1e-10 in max-entry norm.
-All returned arrays are marked read-only so they can be shared freely
-across concurrent workers.
+``coin_matrix`` builds every coin from a ``CoinSpec`` as a dense complex128
+matrix in the coin basis {|0>, ..., |M-1>}.  The three families are the
+discrete Fourier coin (Hadamard at M=2; classically a quarter-turn of the
+cell), the kicked Harper propagator quantized with h = 1/M, whose chaos
+parameter ``g`` takes the cell from integrable to chaotic, and the quantized
+baker.  ``CoinSpec`` checks the parameters; ``coin_matrix`` checks unitarity
+of its result to 1e-10 in max-entry norm and marks it read-only, so it can be
+shared freely across concurrent workers.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +22,6 @@ from numpy.typing import NDArray
 __all__ = [
     "CoinSpec",
     "UNITARITY_TOL",
-    "dft_coin",
-    "harper_coin",
-    "baker_coin",
     "coin_matrix",
     "coin_in_position_basis",
     "twisted_dft",
@@ -84,6 +72,7 @@ class CoinSpec:
     def __post_init__(self) -> None:
         if self.kind not in COIN_KINDS:
             raise ValueError(f"unknown coin kind {self.kind!r}; expected one of {COIN_KINDS}")
+        _check_integer("M", self.M)
         if self.M < 2 or self.M % 2 != 0:
             raise ValueError(f"M: coin dimension must be a positive even integer, got {self.M}")
         _check_kick(self.g, self.tau)
@@ -99,6 +88,12 @@ class CoinSpec:
     def resolved_phi(self) -> float:
         """Boundary phase with the per-coin convention filled in."""
         return _DEFAULT_PHI[self.kind] if self.phi is None else self.phi
+
+
+def _check_integer(field: str, value: object) -> None:
+    """Sizes and step counts index arrays: any integer passes (numpy's too), nothing else."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{field}: must be an integer, got {value!r}")
 
 
 def _check_kick(g: float, tau: float) -> None:
@@ -124,25 +119,6 @@ def _finalize(U: NDArray[np.complex128]) -> NDArray[np.complex128]:
         raise ValueError(f"coin matrix not unitary (defect {defect:.2e})")
     U.setflags(write=False)
     return U
-
-
-def dft_coin(M: int) -> NDArray[np.complex128]:
-    """Discrete Fourier coin: entries exp(2*pi*i*a*b/M)/sqrt(M).
-
-    Reduces to the Hadamard matrix for M=2 and satisfies U^4 = I for
-    every M.  The classical limit of this coin is an anti-clockwise
-    rotation of the unit cell by ninety degrees.
-
-    Raises
-    ------
-    ValueError
-        If M is not a positive even integer.
-    """
-    if M < 2 or M % 2 != 0:
-        raise ValueError(f"dft_coin requires a positive even M, got {M}")
-    idx = np.arange(M)
-    U = np.exp(2j * np.pi * np.outer(idx, idx) / M) / np.sqrt(M)
-    return _finalize(U)
 
 
 def _harper_matrix(M: int, g: float, tau: float, phi: float,
@@ -177,31 +153,6 @@ def _harper_matrix(M: int, g: float, tau: float, phi: float,
     return kernel * kinetic[None, :]
 
 
-def harper_coin(spec: CoinSpec) -> NDArray[np.complex128]:
-    """One-period quantum propagator of the kicked Harper cell dynamics.
-
-    The coin is expressed in the momentum basis; the boundary phase
-    ``spec.phi`` enters both the discretized coordinates and the
-    position<->momentum transformation, so a nonzero value acts like an
-    Aharonov-Bohm flux that breaks time-reversal symmetry without
-    touching the classical dynamics.
-
-    Parameters
-    ----------
-    spec : CoinSpec
-        Must have ``kind="harper"``; supplies M, g, tau, phi.
-
-    Raises
-    ------
-    ValueError
-        On wrong coin kind, odd M, or tau <= 0 (checked by CoinSpec).
-    """
-    if spec.kind != "harper":
-        raise ValueError(f"harper_coin needs kind='harper', got {spec.kind!r}")
-    U = _harper_matrix(spec.M, spec.g, spec.tau, spec.resolved_phi)
-    return _finalize(U)
-
-
 def twisted_dft(N: int, phi: float) -> NDArray[np.complex128]:
     """Fourier matrix with quasi-periodic boundary phase.
 
@@ -214,39 +165,33 @@ def twisted_dft(N: int, phi: float) -> NDArray[np.complex128]:
     return np.exp(-2j * np.pi * np.outer(idx, idx) / N) / np.sqrt(N)
 
 
-def baker_coin(M: int, phi: float = 0.5) -> NDArray[np.complex128]:
-    """Quantized baker transformation as a coin unitary.
+def coin_matrix(spec: CoinSpec) -> NDArray[np.complex128]:
+    """Build the unitary of any CoinSpec; the only coin builder.
 
-    Two-block Fourier construction: B = G_M^{-1} blockdiag(G_{M/2}, G_{M/2})
-    with G_N the phase-twisted Fourier matrix of ``twisted_dft``.  The
-    default ``phi = 1/2`` is the antiperiodic convention; for M=2 the
-    result coincides with the Hadamard coin up to phase redefinitions of
-    the basis states.
-
-    Raises
-    ------
-    ValueError
-        If M is not divisible by 2.
+    - ``"dft"``: entries exp(2*pi*i*a*b/M)/sqrt(M).  The Hadamard matrix at
+      M=2, and U^4 = I for every M.  ``phi`` does not enter.
+    - ``"harper"``: the one-period kicked Harper propagator in the momentum
+      basis.  ``phi`` enters the discretized coordinates and the
+      position<->momentum transform alike: an Aharonov-Bohm flux that breaks
+      time-reversal symmetry without touching the classical dynamics.
+    - ``"baker"``: the two-block Fourier construction
+      B = G_M^{-1} blockdiag(G_{M/2}, G_{M/2}), G_N being ``twisted_dft(N, phi)``.
+      At M=2 and the antiperiodic phi = 1/2 it is the Hadamard coin up to
+      phase redefinitions of the basis states.
     """
-    if M < 2 or M % 2 != 0:
-        raise ValueError(f"baker_coin requires M divisible by 2, got {M}")
+    M, phi = spec.M, spec.resolved_phi
+    if spec.kind == "harper":
+        return _finalize(_harper_matrix(M, spec.g, spec.tau, phi))
+    if spec.kind == "dft":
+        idx = np.arange(M)
+        return _finalize(np.exp(2j * np.pi * np.outer(idx, idx) / M) / np.sqrt(M))
     half = M // 2
-    G_M = twisted_dft(M, phi)
     G_half = twisted_dft(half, phi)
     block = np.zeros((M, M), dtype=np.complex128)
     block[:half, :half] = G_half
     block[half:, half:] = G_half
     # G_M is symmetric, so its inverse is the plain conjugate.
-    return _finalize(np.conj(G_M) @ block)
-
-
-def coin_matrix(spec: CoinSpec) -> NDArray[np.complex128]:
-    """Build the unitary for any CoinSpec."""
-    if spec.kind == "dft":
-        return dft_coin(spec.M)
-    if spec.kind == "harper":
-        return harper_coin(spec)
-    return baker_coin(spec.M, spec.resolved_phi)
+    return _finalize(np.conj(twisted_dft(M, phi)) @ block)
 
 
 def coin_in_position_basis(U: NDArray[np.complex128], phi: float = 0.0) -> NDArray[np.complex128]:

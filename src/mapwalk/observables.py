@@ -40,7 +40,7 @@ from itertools import count, islice
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import coin_matrix
+from .coins import coin_matrix, _check_integer
 from .walk import (WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks,
                    _momentum_step)
 
@@ -117,10 +117,9 @@ def msd(dist: SiteDistribution) -> float:
 
 def site_entropy(dist: SiteDistribution) -> float:
     """Shannon entropy of the distribution in base L, in [0, 1]."""
-    p = dist.probs
-    mask = p > _ENTROPY_FLOOR
+    p = dist.probs[dist.probs > _ENTROPY_FLOOR]
     # adding +0.0 turns the -0.0 of a delta distribution into a canonical 0
-    return float(-np.sum(p[mask] * np.log(p[mask])) / math.log(dist.L)) + 0.0
+    return float(-np.sum(p * np.log(p)) / math.log(dist.L)) + 0.0
 
 
 def participation_ratio(dist: SiteDistribution) -> float:
@@ -170,6 +169,7 @@ def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
 
 
 def _check_t_max(t_max: int) -> None:
+    _check_integer("t_max", t_max)
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import CoinSpec, unitarity_defect, UNITARITY_TOL
+from .coins import CoinSpec, unitarity_defect, UNITARITY_TOL, _check_integer
 
 __all__ = [
     "WalkConfig",
@@ -67,6 +67,7 @@ class WalkConfig:
     coin: CoinSpec
 
     def __post_init__(self) -> None:
+        _check_integer("L", self.L)
         if self.L < 2:
             raise ValueError(f"L: lattice size must be >= 2, got {self.L}")
 

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from mapwalk import observables
-from mapwalk.coins import CoinSpec, dft_coin
+from mapwalk.coins import CoinSpec, coin_matrix
 from mapwalk.walk import WalkConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -47,7 +47,7 @@ def test_traced_walk_meets_the_benchmark_call_counts():
         tracer.install()
         try:
             observables.run_time_series(WalkConfig(L=L, coin=CoinSpec("dft", M)), T,
-                                        keep_distributions=True, U=dft_coin(M))
+                                        keep_distributions=True, U=coin_matrix(CoinSpec("dft", M)))
         finally:
             tracer.uninstall()
         expected = {"walk.blocks": 1, "observables.series": 1, "walk.step": T,

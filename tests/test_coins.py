@@ -1,4 +1,4 @@
-"""Tests for the quantum coin builders."""
+"""Tests for the quantum coin builder."""
 
 import math
 import os
@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 import mapwalk
-from mapwalk.coins import (CoinSpec, dft_coin, harper_coin, baker_coin,
-                           coin_matrix, coin_in_position_basis, twisted_dft,
+from mapwalk.coins import (CoinSpec, coin_matrix, coin_in_position_basis, twisted_dft,
                            unitarity_defect, _harper_matrix, _finalize)
 
 TOL = 1e-10
@@ -20,11 +19,11 @@ TOL = 1e-10
 
 def test_dft_m2_is_hadamard():
     expected = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    np.testing.assert_allclose(dft_coin(2), expected, atol=1e-14)
+    np.testing.assert_allclose(coin_matrix(CoinSpec("dft", 2)), expected, atol=1e-14)
 
 
 def test_dft_m2_squares_to_identity():
-    U = dft_coin(2)
+    U = coin_matrix(CoinSpec("dft", 2))
     np.testing.assert_allclose(U @ U, np.eye(2), atol=1e-14)
 
 
@@ -39,7 +38,7 @@ def test_dft_m4_square_matches_brute_force_sum():
             for b in range(M):
                 acc += np.exp(2j * np.pi * (a * b + b * g) / M)
             oracle[a, g] = acc / M
-    U = dft_coin(M)
+    U = coin_matrix(CoinSpec("dft", M))
     np.testing.assert_allclose(U @ U, oracle, atol=1e-12)
     expected = np.array([[1 if (a + g) % M == 0 else 0 for g in range(M)]
                          for a in range(M)], dtype=complex)
@@ -48,7 +47,7 @@ def test_dft_m4_square_matches_brute_force_sum():
 
 @pytest.mark.parametrize("M", [2, 4, 6, 10, 32, 64, 128])
 def test_dft_fourth_power_is_identity(M):
-    U = dft_coin(M)
+    U = coin_matrix(CoinSpec("dft", M))
     U4 = np.linalg.matrix_power(U, 4)
     assert np.max(np.abs(U4 - np.eye(M))) < TOL
 
@@ -56,12 +55,12 @@ def test_dft_fourth_power_is_identity(M):
 @pytest.mark.parametrize("M", [-2, 0, 1, 3, 7])
 def test_dft_rejects_bad_dimension(M):
     with pytest.raises(ValueError):
-        dft_coin(M)
+        CoinSpec("dft", M)
 
 
 def test_harper_g0_is_diagonal_kinetic_phase():
     M = 8
-    U = harper_coin(CoinSpec("harper", M, g=0.0, tau=1.0, phi=0.0))
+    U = coin_matrix(CoinSpec("harper", M, g=0.0, tau=1.0, phi=0.0))
     idx = np.arange(M)
     expected = np.diag(np.exp(-1j * M * np.cos(2 * np.pi * idx / M)))
     np.testing.assert_allclose(U, expected, atol=1e-12)
@@ -74,7 +73,7 @@ def test_harper_m1_relaxed_single_entry():
 
 
 def test_harper_m20_unitary():
-    U = harper_coin(CoinSpec("harper", 20, g=2.0, tau=1.0, phi=0.2))
+    U = coin_matrix(CoinSpec("harper", 20, g=2.0, tau=1.0, phi=0.2))
     assert unitarity_defect(U) < TOL
 
 
@@ -94,12 +93,10 @@ def test_harper_rejects_bad_parameters():
         CoinSpec("harper", 4, tau=0.0)
     with pytest.raises(ValueError):
         CoinSpec("harper", 4, tau=-1.0)
-    with pytest.raises(ValueError):
-        harper_coin(CoinSpec("dft", 4))
 
 
 def test_baker_m2_unitary():
-    B = baker_coin(2, 0.5)
+    B = coin_matrix(CoinSpec("baker", 2, phi=0.5))
     assert unitarity_defect(B) < TOL
 
 
@@ -107,7 +104,7 @@ def test_baker_m2_is_hadamard_up_to_basis_phases():
     # Derived by expanding the 2x2 product: B = D1 H D2 with the diagonal
     # phase matrices below, i.e. the Hadamard coin after phase
     # redefinitions of the basis states on both sides.
-    B = baker_coin(2, 0.5)
+    B = coin_matrix(CoinSpec("baker", 2, phi=0.5))
     H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     D1 = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
     D2 = np.diag([1.0, 1.0j])
@@ -115,14 +112,14 @@ def test_baker_m2_is_hadamard_up_to_basis_phases():
 
 
 def test_baker_m4_determinant_modulus_one():
-    B = baker_coin(4, 0.5)
+    B = coin_matrix(CoinSpec("baker", 4, phi=0.5))
     assert abs(abs(np.linalg.det(B)) - 1.0) < TOL
 
 
 @pytest.mark.parametrize("M", [1, 3, 9])
 def test_baker_rejects_odd_dimension(M):
     with pytest.raises(ValueError):
-        baker_coin(M)
+        CoinSpec("baker", M)
 
 
 @pytest.mark.parametrize("M", [2, 4, 10, 64, 128])
@@ -169,9 +166,18 @@ def test_coin_basis_rotation_round_trip():
 
 
 def test_coin_matrices_are_read_only():
-    U = dft_coin(4)
-    with pytest.raises(ValueError):
-        U[0, 0] = 0.0
+    harper = coin_matrix(CoinSpec("harper", 4, g=2.0, phi=0.2))
+    for U in (coin_matrix(CoinSpec("dft", 4)), harper, coin_matrix(CoinSpec("baker", 4)),
+              coin_in_position_basis(harper, 0.2)):
+        with pytest.raises(ValueError):
+            U[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("M", [2, 4, 10, 64])
+def test_dft_matrix_ignores_phi(M):
+    # the DFT coin has no boundary phase: a set phi must leave every byte as it was
+    U = coin_matrix(CoinSpec("dft", M, phi=0.3))
+    assert U.tobytes() == coin_matrix(CoinSpec("dft", M)).tobytes()
 
 
 @pytest.mark.parametrize("g, tau, field", [(math.nan, 1.0, "g:"), (math.inf, 1.0, "g:"),

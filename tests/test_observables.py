@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mapwalk import observables
+from mapwalk.classical import CellMap, CellPartition, PhaseEnsemble, classical_msd_series
 from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, momentum_to_site,
                           _apply_blocks, _momentum_step)
@@ -279,6 +280,35 @@ def test_run_time_series_rejects_negative_tmax_before_folding(t_max, monkeypatch
     monkeypatch.setattr(observables, "build_momentum_blocks", None)
     with pytest.raises(ValueError, match=f"^t_max must be >= 1, got {t_max}$"):
         run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), t_max)
+
+
+def _one_point(L):
+    return PhaseEnsemble(cells=np.zeros(1, dtype=np.int64), q=np.zeros(1), p=np.zeros(1), L=L)
+
+
+@pytest.mark.parametrize("field, build", [
+    ("L", lambda: WalkConfig(L=10.5, coin=CoinSpec("dft", 2))),
+    ("M", lambda: CoinSpec("harper", 4.0)),
+    ("L", lambda: _one_point(10.0)),
+    ("t_max", lambda: run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), 2.5)),
+    ("t_max", lambda: classical_msd_series(CellMap("rotation"), CellPartition(), 10, 2.5,
+                                           n_points=10)),
+    ("L", lambda: classical_msd_series(CellMap("rotation"), CellPartition(), 10.0, 3,
+                                       n_points=10)),
+], ids=["WalkConfig.L", "CoinSpec.M", "PhaseEnsemble.L", "run_time_series.t_max",
+        "classical_msd_series.t_max", "classical_msd_series.L"])
+def test_sizes_must_be_integers(field, build):
+    # a float L = 10.5 would step an 11-site ring under the block phases of a 10.5-site one
+    with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+        build()
+
+
+def test_numpy_integer_sizes_run_the_same_walk():
+    config = WalkConfig(L=np.int64(10), coin=CoinSpec("harper", np.int32(4), g=2.0))
+    series = run_time_series(config, np.int64(5))
+    plain = run_time_series(WalkConfig(L=10, coin=CoinSpec("harper", 4, g=2.0)), 5)
+    assert series.msd.tobytes() == plain.msd.tobytes()
+    assert len(_one_point(np.int64(10))) == 1
 
 
 def test_site_probabilities_rejects_negative_time():

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix, dft_coin
+from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix
 from mapwalk.observables import _bundle_states, site_probabilities
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, _apply_blocks,
                           _momentum_step, momentum_to_site)
@@ -51,7 +51,7 @@ def test_dense_single_step_hand_computed():
     # Hadamard coin on 4 sites: U sends |0> to (|0>+|1>)/sqrt(2); the coin-0
     # component hops left to site 3, the coin-1 component right to site 1.
     config = WalkConfig(L=4, coin=CoinSpec("dft", 2))
-    E = build_dense(config, dft_coin(2))
+    E = build_dense(config, coin_matrix(config.coin))
     start = np.zeros(8, dtype=complex)
     start[0 * 2 + 0] = 1.0
     out = E @ start
@@ -70,7 +70,7 @@ def test_dense_operator_unitary(coin):
 
 def test_dense_two_site_lattice_norm():
     config = WalkConfig(L=2, coin=CoinSpec("dft", 2))
-    E = build_dense(config, dft_coin(2))
+    E = build_dense(config, coin_matrix(config.coin))
     for idx in range(4):
         vec = np.zeros(4, dtype=complex)
         vec[idx] = 1.0
@@ -80,7 +80,7 @@ def test_dense_two_site_lattice_norm():
 
 def test_dense_two_nonzero_blocks_per_block_row():
     config = WalkConfig(L=5, coin=CoinSpec("dft", 4))
-    E = build_dense(config, dft_coin(4))
+    E = build_dense(config, coin_matrix(config.coin))
     M = 4
     for row in range(5):
         occupied = [col for col in range(5)
@@ -90,7 +90,7 @@ def test_dense_two_nonzero_blocks_per_block_row():
 
 def test_block_k0_equals_coin():
     config = WalkConfig(L=7, coin=CoinSpec("dft", 4))
-    U = dft_coin(4)
+    U = coin_matrix(config.coin)
     blocks = build_momentum_blocks(config, U)
     np.testing.assert_allclose(block(blocks, 0), U, atol=1e-14)
 
@@ -105,7 +105,8 @@ def test_blocks_unitary(coin):
 
 def test_block_phases_are_exact_at_k0_and_unimodular():
     for L, M in [(2, 2), (9, 4), (400, 64)]:
-        blocks = build_momentum_blocks(WalkConfig(L=L, coin=CoinSpec("dft", M)), dft_coin(M))
+        config = WalkConfig(L=L, coin=CoinSpec("dft", M))
+        blocks = build_momentum_blocks(config, coin_matrix(config.coin))
         assert blocks.shape == (L, M, M)
         assert np.array_equal(blocks.phases[0], np.ones(M))
         assert np.max(np.abs(np.abs(blocks.phases) - 1.0)) < 1e-15
@@ -115,7 +116,7 @@ def test_block_phases_are_exact_at_k0_and_unimodular():
 def step_coins(M):
     """dft, harper and baker coins of dimension M, and a vertical-partition coin."""
     harper = CoinSpec("harper", M, g=2.0, phi=0.2)
-    return {"dft": dft_coin(M), "harper": coin_matrix(harper),
+    return {"dft": coin_matrix(CoinSpec("dft", M)), "harper": coin_matrix(harper),
             "baker": coin_matrix(CoinSpec("baker", M)),
             "vertical": coin_in_position_basis(coin_matrix(harper), harper.resolved_phi)}
 
@@ -191,7 +192,7 @@ def test_evolve_zero_steps_is_identity():
 
 def test_evolve_hadamard_one_step_support():
     config = WalkConfig(L=100, coin=CoinSpec("dft", 2))
-    blocks = build_momentum_blocks(config, dft_coin(2))
+    blocks = build_momentum_blocks(config, coin_matrix(config.coin))
     site = momentum_to_site(step_column(blocks, momentum_column(100, 2, 0), 1))
     support = set(np.nonzero((np.abs(site[:, 0, :]) ** 2).sum(axis=1) > 1e-20)[0])
     assert support == {1, 99}
@@ -202,7 +203,7 @@ def test_evolve_period_four_echo_for_large_fourier_coin():
     # overlap dominates the t=2 one.  Self-conjugate coin rows (0 and M/2)
     # are the exception, so probe a generic row.
     config = WalkConfig(L=100, coin=CoinSpec("dft", 40))
-    blocks = build_momentum_blocks(config, dft_coin(40))
+    blocks = build_momentum_blocks(config, coin_matrix(config.coin))
     psi0 = momentum_column(100, 40, 10)
     ov = {}
     psi = psi0
@@ -287,9 +288,9 @@ def test_walk_config_validation():
 def test_coin_dimension_mismatch_raises():
     config = WalkConfig(L=4, coin=CoinSpec("dft", 4))
     with pytest.raises(ValueError):
-        build_dense(config, dft_coin(2))
+        build_dense(config, coin_matrix(CoinSpec("dft", 2)))
     with pytest.raises(ValueError):
-        build_momentum_blocks(config, dft_coin(2))
+        build_momentum_blocks(config, coin_matrix(CoinSpec("dft", 2)))
 
 
 def test_build_dense_rejects_non_unitary_coin():

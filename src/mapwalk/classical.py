@@ -121,18 +121,18 @@ class PhaseEnsemble:
                 raise ValueError(f"{name}: must hold {what}, got dtype {dtype}")
         n = len(self.cells)
         if len(self.q) != n or len(self.p) != n:
-            raise ValueError("cells, q, p must have equal lengths")
+            raise ValueError(f"q, p: lengths {len(self.q)}, {len(self.p)} != len(cells) = {n}")
         if n == 0:
-            raise ValueError("ensemble must contain at least one point")
+            raise ValueError("cells: the ensemble must contain at least one point")
         _check_integer("L", self.L)
         if self.L < 2:
-            raise ValueError(f"lattice size L must be >= 2, got {self.L}")
+            raise ValueError(f"L: lattice size must be >= 2, got {self.L}")
         # min/max reductions make no mask arrays; a NaN fails every comparison
         if not (0.0 <= self.q.min() and self.q.max() < 1.0
                 and 0.0 <= self.p.min() and self.p.max() < 1.0):
-            raise ValueError("q and p must lie on the unit torus [0, 1)")
+            raise ValueError("q, p: must lie on the unit torus [0, 1)")
         if not (0 <= self.cells.min() and self.cells.max() < self.L):
-            raise ValueError("cell indices must lie in 0..L-1")
+            raise ValueError(f"cells: indices must lie in 0..{self.L - 1}")
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -191,8 +191,10 @@ def phase_portrait(cell_map: CellMap, n_trajectories: int, n_steps: int,
     points, the initial condition included, deterministic for a fixed
     seed.  Suitable for scatter plotting.
     """
-    if n_trajectories < 1 or n_steps < 1:
-        raise ValueError("n_trajectories and n_steps must be positive")
+    for name, value in (("n_trajectories", n_trajectories), ("n_steps", n_steps)):
+        _check_integer(name, value)
+        if value < 1:
+            raise ValueError(f"{name}: must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     q = rng.random(n_trajectories)
     p = rng.random(n_trajectories)

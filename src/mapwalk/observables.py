@@ -16,13 +16,16 @@ only where p_l(t) is mirror symmetric.  Three summary statistics condense p_l(t)
 - ``participation_ratio``: 1/(L sum_l p_l^2), the occupied fraction of
   sites, in [1/L, 1].
 
-``run_time_series`` produces all three at every time step in a single
-pass over the evolution.  The M coin-state evolutions are batched into
-one GEMM per step: the bundle's rows are the evolved coin-basis starts
-|0, b>.  At time t the walker can only be on the sites -t + 2j mod L (the
+Each is one dot product: msd and PR over the L sites, with no temporary of
+length L, the entropy over the nonzero p.  ``run_time_series`` produces all
+three at every time step in a single pass over the evolution.  The M
+coin-state evolutions are batched into one GEMM per step: the bundle's rows
+are the evolved coin-basis starts |0, b>.  At time t the walker can only be on the sites -t + 2j mod L (the
 light cone), so the series steps just them in position space, as a window
 of min(t + 1, R) rows, R = L // gcd(L, 2), cycling on the ring once the
 cone wraps; p_l(t) is their |amplitude|^2, every other site exactly 0.
+Kept distributions are the rows of one (t_max + 1, L) matrix, so holding
+any one keeps the whole matrix alive.
 ``site_probabilities`` steps the bundle (E_k^t)^T of all L momenta k and
 inverse-transforms it: the block oracle.
 The reduction order is fixed, so repeated runs are bit-identical.
@@ -35,7 +38,7 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 from numpy.typing import NDArray
@@ -112,28 +115,30 @@ def _squared_distances(L: int) -> NDArray[np.float64]:
 
 def msd(dist: SiteDistribution) -> float:
     """Mean squared displacement about site 0, cyclic minimal distance."""
-    return float(np.sum(dist.probs * _squared_distances(dist.L)))
+    return float(dist.probs @ _squared_distances(dist.L))
 
 
 def site_entropy(dist: SiteDistribution) -> float:
     """Shannon entropy of the distribution in base L, in [0, 1]."""
     p = dist.probs[dist.probs > _ENTROPY_FLOOR]
     # adding +0.0 turns the -0.0 of a delta distribution into a canonical 0
-    return float(-np.sum(p * np.log(p)) / math.log(dist.L)) + 0.0
+    return float(-(p @ np.log(p)) / math.log(dist.L)) + 0.0
 
 
 def participation_ratio(dist: SiteDistribution) -> float:
     """Occupied fraction of sites: 1/(L sum p^2), in [1/L, 1]."""
-    return float(1.0 / (dist.L * np.sum(dist.probs**2)))
+    return float(1.0 / (dist.L * (dist.probs @ dist.probs)))
 
 
-def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArray[np.float64]:
+def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int,
+                       out: NDArray[np.float64] | None = None) -> NDArray[np.float64]:
     """Coin-averaged L-ring site probabilities at time t of the light-cone window ``psi``.
 
     ``psi`` (the one positional argument: perfbench's transform count unpacks it) has a row
-    per site -t + 2j mod L; its |.|^2 is scattered to those sites, every other site is 0."""
+    per site -t + 2j mod L; its |.|^2 is scattered to those sites of ``out`` (zeros, new
+    unless given), every other site stays 0."""
     n, M = psi.shape[:2]
-    probs = np.zeros(L)
+    probs = np.zeros(L) if out is None else out
     amps = psi.reshape(n, -1).view(np.float64)
     probs[np.arange(-t, 2 * n - t, 2) % L] = np.einsum("ij,ij->i", amps, amps) / M
     return probs
@@ -162,8 +167,9 @@ def _bundle_states(blocks: MomentumBlockSet) -> Iterator[NDArray[np.complex128]]
 
 def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
     """Distribution p_l(t) of the M coin-basis starts with all L momenta stepped (the oracle)."""
+    _check_integer("t", t)
     if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+        raise ValueError(f"t: time must be >= 0, got {t}")
     psi = next(islice(_bundle_states(blocks), t, None))  # no site transform before t
     return SiteDistribution(L=blocks.L, probs=_momentum_site_probs(psi, t=t, L=blocks.L), time=t)
 
@@ -189,16 +195,19 @@ def _time_series(dists: Iterator[SiteDistribution], t_max: int,
                           entropy=stats[1], pr=stats[2], distributions=kept)
 
 
-def _cone_distributions(blocks: MomentumBlockSet, t_max: int) -> Iterator[SiteDistribution]:
-    """Distributions at t = 0, 1, 2, ... of the coin-basis starts, stepped on the light-cone window.
+def _cone_distributions(blocks: MomentumBlockSet, t_max: int,
+                        keep: bool) -> Iterator[SiteDistribution]:
+    """Distributions at t = 0..t_max of the coin-basis starts, stepped on the light-cone window.
 
-    The window steps between two buffers, each one row longer than the most rows it takes."""
+    The window steps between two buffers, each one row longer than the most rows it takes.
+    Kept distributions are the rows of one (t_max + 1, L) matrix; others get an array each."""
     L, M = blocks.L, blocks.M
     buffers = np.empty((2, min(t_max, blocks.ring_rows) + 1, M, M), dtype=np.complex128)
+    rows = np.zeros((t_max + 1, L)) if keep else [None] * (t_max + 1)
     psi = buffers[0, :1]
     psi[0] = np.eye(M)
-    for t in count():
-        yield SiteDistribution(L=L, probs=_bundle_site_probs(psi, t=t, L=L), time=t)
+    for t, row in enumerate(rows):
+        yield SiteDistribution(L=L, probs=_bundle_site_probs(psi, t=t, L=L, out=row), time=t)
         psi = _apply_blocks(blocks, psi, out=buffers[(t + 1) % 2])
 
 
@@ -214,7 +223,8 @@ def run_time_series(config: WalkConfig, t_max: int,
     if U is None:
         U = coin_matrix(config.coin)
     blocks = build_momentum_blocks(config, U)
-    return _time_series(_cone_distributions(blocks, t_max), t_max, keep_distributions)
+    return _time_series(_cone_distributions(blocks, t_max, keep_distributions), t_max,
+                        keep_distributions)
 
 
 def trace_site_probabilities(E: NDArray[np.complex128], L: int, M: int,

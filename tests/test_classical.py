@@ -260,6 +260,29 @@ def test_ensemble_the_walk_cannot_step_rejected_naming_the_field(cells, q, p, fi
         PhaseEnsemble(cells=cells, q=q, p=p, L=4)
 
 
+@pytest.mark.parametrize("cells, q, p, L, message", [
+    ([0, 0], [0.2], [0.3, 0.4], 4, "q, p: lengths 1, 2 != len(cells) = 2"),
+    ([], [], [], 4, "cells: the ensemble must contain at least one point"),
+    ([0], [0.2], [0.3], 1, "L: lattice size must be >= 2, got 1"),
+    ([0], [1.0], [0.3], 4, "q, p: must lie on the unit torus [0, 1)"),
+    ([0], [0.2], [-0.5], 4, "q, p: must lie on the unit torus [0, 1)"),
+    ([4], [0.2], [0.3], 4, "cells: indices must lie in 0..3"),
+    ([-1], [0.2], [0.3], 4, "cells: indices must lie in 0..3"),
+], ids=["lengths", "empty", "L", "q", "p", "cell above", "cell below"])
+def test_ensemble_errors_start_with_their_field(cells, q, p, L, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PhaseEnsemble(cells=np.array(cells, dtype=np.int64), q=np.array(q, dtype=float),
+                      p=np.array(p, dtype=float), L=L)
+
+
+@pytest.mark.parametrize("n_trajectories, n_steps, message", [
+    (0, 10, "n_trajectories: must be >= 1, got 0"), (3, -1, "n_steps: must be >= 1, got -1")],
+    ids=["n_trajectories", "n_steps"])
+def test_phase_portrait_counts_must_be_positive(n_trajectories, n_steps, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        phase_portrait(CellMap("baker"), n_trajectories, n_steps)
+
+
 @pytest.mark.parametrize("cell_map", [CellMap("harper", g=2.0), CellMap("baker"),
                                       CellMap("rotation")])
 @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])

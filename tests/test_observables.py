@@ -1,13 +1,15 @@
 """Tests for the site distribution and its summary statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mapwalk import observables
-from mapwalk.classical import CellMap, CellPartition, PhaseEnsemble, classical_msd_series
+from mapwalk.classical import (CellMap, CellPartition, PhaseEnsemble, classical_msd_series,
+                               phase_portrait)
 from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, momentum_to_site,
                           _apply_blocks, _momentum_step)
@@ -201,6 +203,81 @@ def test_series_shares_single_evolution_pass():
     np.testing.assert_array_equal(a.pr, b.pr)
 
 
+@pytest.mark.parametrize("L, t_max", [(20, 15), (101, 60), (1000, 150), (9, 30)])
+@pytest.mark.parametrize("coin", [CoinSpec("dft", 2), CoinSpec("harper", 4, g=2.0, phi=0.2)])
+def test_kept_and_unkept_series_statistics_are_byte_identical(coin, L, t_max):
+    # kept distributions are rows of one matrix (odd L: rows off any 16-byte alignment),
+    # others arrays of their own; the dot products must not care
+    config = WalkConfig(L=L, coin=coin)
+    a = run_time_series(config, t_max)
+    b = run_time_series(config, t_max, keep_distributions=True)
+    for name in ("msd", "entropy", "pr"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_kept_distributions_are_independent():
+    series = run_time_series(WalkConfig(L=12, coin=CoinSpec("dft", 2)), 8, keep_distributions=True)
+    before = [d.probs.copy() for d in series.distributions]
+    series.distributions[3].probs[:] = 7.0
+    for t, d in enumerate(series.distributions):
+        assert d.L == 12 and d.time == t
+        if t != 3:
+            assert d.probs.tobytes() == before[t].tobytes(), t
+
+
+def test_unkept_series_keeps_memory_of_order_L():
+    # kept, the 201 x 100003 distributions take 161 MB; a series that keeps none holds O(L)
+    tracemalloc.start()
+    try:
+        run_time_series(WalkConfig(L=100003, coin=CoinSpec("dft", 2)), 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
+@st.composite
+def spread_distributions(draw):
+    """A normalized distribution on L sites: random weights, a random share of them zero."""
+    L = draw(st.integers(2, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(L) ** draw(st.floats(0.1, 30.0))
+    w[rng.random(L) < draw(st.floats(0.0, 0.99))] = 0.0
+    w[draw(st.integers(0, L - 1))] += 1e-3  # never all zero
+    return dist(w / w.sum())
+
+
+def _fsum_statistics(d):
+    """msd, entropy and PR summed exactly by math.fsum (the products are rounded)."""
+    p = d.probs
+    q = p[p > 1e-300].tolist()
+    sq = np.minimum(np.arange(d.L), d.L - np.arange(d.L)).astype(float) ** 2
+    return (math.fsum((p * sq).tolist()), -math.fsum(x * math.log(x) for x in q) / math.log(d.L),
+            1.0 / (d.L * math.fsum((p * p).tolist())))
+
+
+# fixed examples: 4 eps bounds the tail (the largest of 20,000 random draws was 3.6 eps)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=spread_distributions())
+def test_statistics_agree_with_an_fsum_oracle(d):
+    got = msd(d), site_entropy(d), participation_ratio(d)
+    for name, g, want in zip(("msd", "entropy", "pr"), got, _fsum_statistics(d)):
+        assert abs(g - want) <= 4 * np.finfo(float).eps * abs(want), (name, g, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(L=st.integers(2, 4096), data=st.data())
+def test_statistics_of_a_delta_are_exact(L, data):
+    site = data.draw(st.integers(0, L - 1))
+    p = np.zeros(L)
+    p[site] = 1.0
+    d = dist(p)
+    assert msd(d) == min(site, L - site) ** 2
+    entropy = site_entropy(d)
+    assert entropy == 0.0 and not np.signbit(entropy)
+    assert participation_ratio(d) == 1 / L
+
+
 @pytest.mark.parametrize("coin", [CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2),
                                   CoinSpec("baker", 4)])
 def test_site_probabilities_matches_series(coin):
@@ -295,8 +372,13 @@ def _one_point(L):
                                            n_points=10)),
     ("L", lambda: classical_msd_series(CellMap("rotation"), CellPartition(), 10.0, 3,
                                        n_points=10)),
+    ("n_trajectories", lambda: phase_portrait(CellMap("harper", g=1.0), 2.5, 3)),
+    ("n_steps", lambda: phase_portrait(CellMap("harper", g=1.0), 3, 2.5)),
+    ("t", lambda: site_probabilities(build_momentum_blocks(
+        WalkConfig(L=10, coin=CoinSpec("dft", 2)), coin_matrix(CoinSpec("dft", 2))), 2.5)),
 ], ids=["WalkConfig.L", "CoinSpec.M", "PhaseEnsemble.L", "run_time_series.t_max",
-        "classical_msd_series.t_max", "classical_msd_series.L"])
+        "classical_msd_series.t_max", "classical_msd_series.L", "phase_portrait.n_trajectories",
+        "phase_portrait.n_steps", "site_probabilities.t"])
 def test_sizes_must_be_integers(field, build):
     # a float L = 10.5 would step an 11-site ring under the block phases of a 10.5-site one
     with pytest.raises(ValueError, match=f"^{field}: must be an integer"):

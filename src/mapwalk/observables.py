@@ -20,12 +20,12 @@ Each is one dot product: msd and PR over the L sites, with no temporary of
 length L, the entropy over the nonzero p.  ``run_time_series`` produces all
 three at every time step in a single pass over the evolution.  The M
 coin-state evolutions are batched into one GEMM per step: the bundle's rows
-are the evolved coin-basis starts |0, b>.  At time t the walker can only be on the sites -t + 2j mod L (the
-light cone), so the series steps just them in position space, as a window
-of min(t + 1, R) rows, R = L // gcd(L, 2), cycling on the ring once the
-cone wraps; p_l(t) is their |amplitude|^2, every other site exactly 0.
-Kept distributions are the rows of one (t_max + 1, L) matrix, so holding
-any one keeps the whole matrix alive.
+are the evolved coin-basis starts |0, b>.  At time t the walker can only be
+on the sites -t + 2j mod L (the light cone), so the series steps just them
+in position space, as a window of min(t + 1, R) rows, R = L // gcd(L, 2),
+cycling on the ring once the cone wraps; p_l(t) is their |amplitude|^2,
+every other site exactly 0.  Kept distributions are the rows of one
+(t_max + 1, L) matrix, so holding any one keeps the whole matrix alive.
 ``site_probabilities`` steps the bundle (E_k^t)^T of all L momenta k and
 inverse-transforms it: the block oracle.
 The reduction order is fixed, so repeated runs are bit-identical.

@@ -194,25 +194,16 @@ def test_series_distributions_normalized_and_bounded():
 
 
 def test_series_shares_single_evolution_pass():
-    # emitting with and without retained distributions must agree exactly
-    config = WalkConfig(L=20, coin=CoinSpec("dft", 4))
-    a = run_time_series(config, 15)
-    b = run_time_series(config, 15, keep_distributions=True)
-    np.testing.assert_array_equal(a.msd, b.msd)
-    np.testing.assert_array_equal(a.entropy, b.entropy)
-    np.testing.assert_array_equal(a.pr, b.pr)
-
-
-@pytest.mark.parametrize("L, t_max", [(20, 15), (101, 60), (1000, 150), (9, 30)])
-@pytest.mark.parametrize("coin", [CoinSpec("dft", 2), CoinSpec("harper", 4, g=2.0, phi=0.2)])
-def test_kept_and_unkept_series_statistics_are_byte_identical(coin, L, t_max):
-    # kept distributions are rows of one matrix (odd L: rows off any 16-byte alignment),
-    # others arrays of their own; the dot products must not care
-    config = WalkConfig(L=L, coin=coin)
-    a = run_time_series(config, t_max)
-    b = run_time_series(config, t_max, keep_distributions=True)
-    for name in ("msd", "entropy", "pr"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    # emitting with and without retained distributions must agree byte for byte: kept
+    # distributions are rows of one matrix (odd L: rows off any 16-byte alignment), others
+    # arrays of their own, and the dot products must not care
+    for coin in (CoinSpec("dft", 2), CoinSpec("dft", 4), CoinSpec("harper", 4, g=2.0, phi=0.2)):
+        for L, t_max in ((20, 15), (101, 60), (1000, 150), (9, 30)):
+            config = WalkConfig(L=L, coin=coin)
+            a = run_time_series(config, t_max)
+            b = run_time_series(config, t_max, keep_distributions=True)
+            for name in ("msd", "entropy", "pr"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (coin, L, name)
 
 
 def test_kept_distributions_are_independent():

@@ -28,8 +28,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .cellmaps import rotation_map, baker_map, harper_map
-from .coins import CoinSpec, _check_integer, _check_kick
-from .observables import SiteDistribution, WalkTimeSeries, _check_t_max, _time_series
+from .coins import CoinSpec, _check_count, _check_kick
+from .observables import SiteDistribution, WalkTimeSeries, _time_series
 # bound here as well because perfbench traces the statistics in this namespace
 from .observables import msd, site_entropy, participation_ratio  # noqa: F401
 
@@ -82,7 +82,8 @@ class CellPartition:
 
     def __post_init__(self) -> None:
         if self.orientation not in ("horizontal", "vertical"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
+            raise ValueError(f"orientation: must be one of horizontal, vertical, "
+                             f"got {self.orientation!r}")
 
 
 def classical_counterpart(coin: CoinSpec) -> CellMap:
@@ -109,24 +110,23 @@ class PhaseEnsemble:
     time: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("cells", "q", "p"):  # the step and the cell count need 1-D arrays
-            ndim = np.ndim(getattr(self, name))
-            if ndim != 1:
-                raise ValueError(f"{name}: must be a 1-D array, got {ndim} dimensions")
-        # the shift indexes by the cells; the maps floor and compare q and p
+        # the step and the cell count need 1-D arrays: the shift indexes by the cells,
+        # the maps floor and compare q and p
         for name, kind, what in (("cells", np.integer, "integers"),
                                  ("q", np.floating, "real floats"), ("p", np.floating, "real floats")):
-            dtype = np.asarray(getattr(self, name)).dtype
-            if not np.issubdtype(dtype, kind):
-                raise ValueError(f"{name}: must hold {what}, got dtype {dtype}")
+            value = getattr(self, name)
+            if not isinstance(value, np.ndarray):
+                raise ValueError(f"{name}: must be a numpy array, got {type(value).__name__}")
+            if value.ndim != 1:
+                raise ValueError(f"{name}: must be a 1-D array, got {value.ndim} dimensions")
+            if not np.issubdtype(value.dtype, kind):
+                raise ValueError(f"{name}: must hold {what}, got dtype {value.dtype}")
         n = len(self.cells)
         if len(self.q) != n or len(self.p) != n:
             raise ValueError(f"q, p: lengths {len(self.q)}, {len(self.p)} != len(cells) = {n}")
         if n == 0:
             raise ValueError("cells: the ensemble must contain at least one point")
-        _check_integer("L", self.L)
-        if self.L < 2:
-            raise ValueError(f"L: lattice size must be >= 2, got {self.L}")
+        _check_count("L", self.L, 2)
         # min/max reductions make no mask arrays; a NaN fails every comparison
         if not (0.0 <= self.q.min() and self.q.max() < 1.0
                 and 0.0 <= self.p.min() and self.p.max() < 1.0):
@@ -140,6 +140,8 @@ class PhaseEnsemble:
     @classmethod
     def uniform_fill(cls, L: int, n_points: int, seed: int = 0) -> "PhaseEnsemble":
         """Seeded uniform random filling of cell 0."""
+        _check_count("n_points", n_points, 1)
+        _check_count("seed", seed, 0)
         rng = np.random.default_rng(seed)
         return cls(cells=np.zeros(n_points, dtype=np.int64),
                    q=rng.random(n_points), p=rng.random(n_points), L=L)
@@ -173,8 +175,7 @@ def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
     index = np.multiply(coord >= 0.5, ens.L)
     index += ens.cells
     cells = neighbours[index]
-    return replace(ens, cells=cells, q=np.asarray(q), p=np.asarray(p),
-                   time=ens.time + 1)
+    return replace(ens, cells=cells, q=q, p=p, time=ens.time + 1)
 
 
 def classical_site_distribution(ens: PhaseEnsemble) -> SiteDistribution:
@@ -191,10 +192,9 @@ def phase_portrait(cell_map: CellMap, n_trajectories: int, n_steps: int,
     points, the initial condition included, deterministic for a fixed
     seed.  Suitable for scatter plotting.
     """
-    for name, value in (("n_trajectories", n_trajectories), ("n_steps", n_steps)):
-        _check_integer(name, value)
-        if value < 1:
-            raise ValueError(f"{name}: must be >= 1, got {value}")
+    _check_count("n_trajectories", n_trajectories, 1)
+    _check_count("n_steps", n_steps, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     q = rng.random(n_trajectories)
     p = rng.random(n_trajectories)
@@ -223,7 +223,7 @@ def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
     The initial ensemble is a seeded uniform fill of cell 0.  The
     statistics come from the same series loop as the quantum walk.
     """
-    _check_t_max(t_max)  # before the fill, which may be large
+    _check_count("t_max", t_max, 1)  # before the fill, which may be large
     # the generator holds the only reference to each ensemble, freeing it once stepped
     dists = _ensemble_distributions(PhaseEnsemble.uniform_fill(L, n_points, seed=seed),
                                     cell_map, partition)

@@ -72,9 +72,9 @@ class CoinSpec:
     def __post_init__(self) -> None:
         if self.kind not in COIN_KINDS:
             raise ValueError(f"unknown coin kind {self.kind!r}; expected one of {COIN_KINDS}")
-        _check_integer("M", self.M)
-        if self.M < 2 or self.M % 2 != 0:
-            raise ValueError(f"M: coin dimension must be a positive even integer, got {self.M}")
+        _check_count("M", self.M, 2)
+        if self.M % 2 != 0:
+            raise ValueError(f"M: coin dimension must be even, got {self.M}")
         _check_kick(self.g, self.tau)
         if not math.isfinite(self.tau * self.M):
             raise ValueError(f"tau: the coin phase tau*M must be finite, got {self.tau}*{self.M}")
@@ -90,10 +90,12 @@ class CoinSpec:
         return _DEFAULT_PHI[self.kind] if self.phi is None else self.phi
 
 
-def _check_integer(field: str, value: object) -> None:
-    """Sizes and step counts index arrays: any integer passes (numpy's too), nothing else."""
+def _check_count(field: str, value: object, minimum: int) -> None:
+    """The one rule for sizes, step counts and seeds: an integer (numpy's too) >= ``minimum``."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{field}: must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{field}: must be >= {minimum}, got {value}")
 
 
 def _check_kick(g: float, tau: float) -> None:
@@ -113,10 +115,12 @@ def unitarity_defect(U: NDArray[np.complex128]) -> float:
     return float(np.max(np.abs(U.conj().T @ U - np.eye(n))))
 
 
-def _finalize(U: NDArray[np.complex128]) -> NDArray[np.complex128]:
+def _unitary(U: NDArray[np.complex128], what: str = "coin matrix") -> NDArray[np.complex128]:
+    """The one unitarity gate: ``U``, made read-only, if its defect is below UNITARITY_TOL;
+    otherwise a ValueError naming ``what``."""
     defect = unitarity_defect(U)
     if not defect < UNITARITY_TOL:
-        raise ValueError(f"coin matrix not unitary (defect {defect:.2e})")
+        raise ValueError(f"{what} not unitary (defect {defect:.2e})")
     U.setflags(write=False)
     return U
 
@@ -159,8 +163,7 @@ def twisted_dft(N: int, phi: float) -> NDArray[np.complex128]:
     Entries exp(-2*pi*i*(a+phi)(b+phi)/N)/sqrt(N), mapping position
     components to momentum components.  Symmetric and unitary.
     """
-    if N < 1:
-        raise ValueError(f"twisted_dft requires N >= 1, got {N}")
+    _check_count("N", N, 1)
     idx = np.arange(N) + phi
     return np.exp(-2j * np.pi * np.outer(idx, idx) / N) / np.sqrt(N)
 
@@ -181,17 +184,17 @@ def coin_matrix(spec: CoinSpec) -> NDArray[np.complex128]:
     """
     M, phi = spec.M, spec.resolved_phi
     if spec.kind == "harper":
-        return _finalize(_harper_matrix(M, spec.g, spec.tau, phi))
+        return _unitary(_harper_matrix(M, spec.g, spec.tau, phi))
     if spec.kind == "dft":
         idx = np.arange(M)
-        return _finalize(np.exp(2j * np.pi * np.outer(idx, idx) / M) / np.sqrt(M))
+        return _unitary(np.exp(2j * np.pi * np.outer(idx, idx) / M) / np.sqrt(M))
     half = M // 2
     G_half = twisted_dft(half, phi)
     block = np.zeros((M, M), dtype=np.complex128)
     block[:half, :half] = G_half
     block[half:, half:] = G_half
     # G_M is symmetric, so its inverse is the plain conjugate.
-    return _finalize(np.conj(twisted_dft(M, phi)) @ block)
+    return _unitary(np.conj(twisted_dft(M, phi)) @ block)
 
 
 def coin_in_position_basis(U: NDArray[np.complex128], phi: float = 0.0) -> NDArray[np.complex128]:
@@ -204,4 +207,4 @@ def coin_in_position_basis(U: NDArray[np.complex128], phi: float = 0.0) -> NDArr
     """
     M = U.shape[0]
     F = np.conj(twisted_dft(M, phi))  # F[c, a] = <c|a>
-    return _finalize(F @ U @ F.conj().T)
+    return _unitary(F @ U @ F.conj().T)

@@ -43,7 +43,7 @@ from itertools import islice
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import coin_matrix, _check_integer
+from .coins import coin_matrix, _check_count
 from .walk import (WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks,
                    _momentum_step)
 
@@ -73,6 +73,8 @@ class SiteDistribution:
     time: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.probs, np.ndarray):
+            raise ValueError(f"probs: must be a numpy array, got {type(self.probs).__name__}")
         if self.probs.shape != (self.L,):
             raise ValueError(f"probs shape {self.probs.shape} != ({self.L},) at time {self.time}")
         p = self.probs
@@ -167,17 +169,9 @@ def _bundle_states(blocks: MomentumBlockSet) -> Iterator[NDArray[np.complex128]]
 
 def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
     """Distribution p_l(t) of the M coin-basis starts with all L momenta stepped (the oracle)."""
-    _check_integer("t", t)
-    if t < 0:
-        raise ValueError(f"t: time must be >= 0, got {t}")
+    _check_count("t", t, 0)
     psi = next(islice(_bundle_states(blocks), t, None))  # no site transform before t
     return SiteDistribution(L=blocks.L, probs=_momentum_site_probs(psi, t=t, L=blocks.L), time=t)
-
-
-def _check_t_max(t_max: int) -> None:
-    _check_integer("t_max", t_max)
-    if t_max < 1:
-        raise ValueError(f"t_max must be >= 1, got {t_max}")
 
 
 def _time_series(dists: Iterator[SiteDistribution], t_max: int,
@@ -219,7 +213,7 @@ def run_time_series(config: WalkConfig, t_max: int,
     The coin matrix is built from ``config.coin`` unless an explicit ``U`` is supplied (it must
     be a unitary matrix of the coin dimension).  The walk is stepped on its light cone.
     """
-    _check_t_max(t_max)
+    _check_count("t_max", t_max, 1)
     if U is None:
         U = coin_matrix(config.coin)
     blocks = build_momentum_blocks(config, U)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .coins import CoinSpec, unitarity_defect, UNITARITY_TOL, _check_integer
+from .coins import CoinSpec, _check_count, _unitary
 
 __all__ = [
     "WalkConfig",
@@ -67,9 +67,7 @@ class WalkConfig:
     coin: CoinSpec
 
     def __post_init__(self) -> None:
-        _check_integer("L", self.L)
-        if self.L < 2:
-            raise ValueError(f"L: lattice size must be >= 2, got {self.L}")
+        _check_count("L", self.L, 2)
 
     @property
     def M(self) -> int:
@@ -135,11 +133,7 @@ def build_dense(config: WalkConfig, U: NDArray[np.complex128]) -> NDArray[np.com
         col = n * M
         E[dst_left:dst_left + M, col:col + M][left] = U[left]
         E[dst_right:dst_right + M, col:col + M][~left] = U[~left]
-    defect = unitarity_defect(E)
-    if not defect < UNITARITY_TOL:
-        raise ValueError(f"walk operator not unitary (defect {defect:.2e})")
-    E.setflags(write=False)
-    return E
+    return _unitary(E, "walk operator")
 
 
 def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> MomentumBlockSet:
@@ -152,13 +146,10 @@ def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> Mome
     """
     coin = np.array(U, dtype=np.complex128)
     _check_coin_dim(config, coin)
-    defect = unitarity_defect(coin)
-    if not defect < UNITARITY_TOL:
-        raise ValueError(f"U: coin matrix not unitary (defect {defect:.2e})")
+    _unitary(coin, "U: coin matrix")
     L = config.L
     signs = np.where(config.left_rows(), 1.0, -1.0)
     phases = np.exp(2j * np.pi * np.outer(np.arange(L), signs) / L)  # (L, M)
-    coin.setflags(write=False)
     phases.setflags(write=False)
     return MomentumBlockSet(coin=coin, phases=phases)
 

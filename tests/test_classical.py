@@ -203,7 +203,8 @@ def test_validation_errors():
         CellMap("standard")
     with pytest.raises(ValueError):
         CellMap("harper", g=-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^orientation: must be one of horizontal, vertical, got 'diagonal'$"):
         CellPartition("diagonal")
     with pytest.raises(ValueError):
         PhaseEnsemble(cells=np.array([], dtype=np.int64), q=np.array([]),
@@ -220,7 +221,7 @@ def test_classical_series_rejects_t_max_before_the_fill(monkeypatch, t_max):
         raise AssertionError("the ensemble was filled")
 
     monkeypatch.setattr(PhaseEnsemble, "uniform_fill", no_fill)
-    with pytest.raises(ValueError, match="t_max must be >= 1"):
+    with pytest.raises(ValueError, match=f"^t_max: must be >= 1, got {t_max}$"):
         classical_msd_series(CellMap("baker"), CellPartition(), L=10, t_max=t_max,
                              n_points=10**7)
 
@@ -251,6 +252,9 @@ def test_ensemble_outside_torus_or_ring_rejected(cells, q, p):
     (np.array([0]), np.array([0.25]), np.array([0.5 + 0j]), "p"),
     (np.array([0]), np.array([0]), np.array([0.5]), "q"),
     (np.array([0]), np.array([0.25]), np.array([False]), "p"),
+    ([0], np.array([0.25]), np.array([0.5]), "cells"),  # lists have no .min() for the range check
+    (np.array([0]), [0.25], np.array([0.5]), "q"),
+    (np.array([0]), np.array([0.25]), [0.5], "p"),
 ])
 def test_ensemble_the_walk_cannot_step_rejected_naming_the_field(cells, q, p, field):
     # multi_map_step indexes by the cells and classical_site_distribution counts them,
@@ -263,7 +267,7 @@ def test_ensemble_the_walk_cannot_step_rejected_naming_the_field(cells, q, p, fi
 @pytest.mark.parametrize("cells, q, p, L, message", [
     ([0, 0], [0.2], [0.3, 0.4], 4, "q, p: lengths 1, 2 != len(cells) = 2"),
     ([], [], [], 4, "cells: the ensemble must contain at least one point"),
-    ([0], [0.2], [0.3], 1, "L: lattice size must be >= 2, got 1"),
+    ([0], [0.2], [0.3], 1, "L: must be >= 2, got 1"),
     ([0], [1.0], [0.3], 4, "q, p: must lie on the unit torus [0, 1)"),
     ([0], [0.2], [-0.5], 4, "q, p: must lie on the unit torus [0, 1)"),
     ([4], [0.2], [0.3], 4, "cells: indices must lie in 0..3"),

@@ -12,7 +12,7 @@ import pytest
 
 import mapwalk
 from mapwalk.coins import (CoinSpec, coin_matrix, coin_in_position_basis, twisted_dft,
-                           unitarity_defect, _harper_matrix, _finalize)
+                           unitarity_defect, _harper_matrix, _unitary)
 
 TOL = 1e-10
 
@@ -192,19 +192,19 @@ def test_non_finite_harper_parameters_rejected(g, tau, field):
 
 def test_non_unitary_coin_raises_value_error():
     with pytest.raises(ValueError, match="coin matrix not unitary"):
-        _finalize(np.ones((2, 2), dtype=np.complex128))
+        _unitary(np.ones((2, 2), dtype=np.complex128))
     with pytest.raises(ValueError, match="coin matrix not unitary"):
-        _finalize(np.full((2, 2), np.nan, dtype=np.complex128))
+        _unitary(np.full((2, 2), np.nan, dtype=np.complex128))
 
 
 def test_unitarity_checks_survive_python_O():
     code = """
 import numpy as np
-from mapwalk.coins import CoinSpec, _finalize
+from mapwalk.coins import CoinSpec, _unitary
 from mapwalk.walk import WalkConfig, build_dense
 assert not __debug__
 bad = np.ones((2, 2), dtype=np.complex128)
-for name, check in (("coin", lambda: _finalize(bad)),
+for name, check in (("coin", lambda: _unitary(bad)),
                     ("walk", lambda: build_dense(WalkConfig(L=4, coin=CoinSpec("dft", 2)), bad))):
     try:
         check()

@@ -1,6 +1,7 @@
 """Tests for the site distribution and its summary statistics."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from mapwalk import observables
 from mapwalk.classical import (CellMap, CellPartition, PhaseEnsemble, classical_msd_series,
                                phase_portrait)
-from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix
+from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix, twisted_dft
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, momentum_to_site,
                           _apply_blocks, _momentum_step)
 from mapwalk.observables import (SiteDistribution, WalkTimeSeries,
@@ -297,6 +298,8 @@ def test_site_distribution_validation():
         SiteDistribution(L=4, probs=np.array([0.5, 0.2, 0.1, 0.1]))
     with pytest.raises(ValueError):
         SiteDistribution(L=3, probs=np.full(4, 0.25))
+    with pytest.raises(ValueError, match="^probs: must be a numpy array, got list$"):
+        SiteDistribution(L=2, probs=[0.5, 0.5])
 
 
 def test_site_distribution_errors_name_the_time():
@@ -346,7 +349,7 @@ def test_run_time_series_rejects_bad_tmax():
 def test_run_time_series_rejects_negative_tmax_before_folding(t_max, monkeypatch):
     # the fold of a negative horizon would be a negative "divisor"; nothing is built first
     monkeypatch.setattr(observables, "build_momentum_blocks", None)
-    with pytest.raises(ValueError, match=f"^t_max must be >= 1, got {t_max}$"):
+    with pytest.raises(ValueError, match=f"^t_max: must be >= 1, got {t_max}$"):
         run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), t_max)
 
 
@@ -354,25 +357,59 @@ def _one_point(L):
     return PhaseEnsemble(cells=np.zeros(1, dtype=np.int64), q=np.zeros(1), p=np.zeros(1), L=L)
 
 
-@pytest.mark.parametrize("field, build", [
-    ("L", lambda: WalkConfig(L=10.5, coin=CoinSpec("dft", 2))),
-    ("M", lambda: CoinSpec("harper", 4.0)),
-    ("L", lambda: _one_point(10.0)),
-    ("t_max", lambda: run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), 2.5)),
-    ("t_max", lambda: classical_msd_series(CellMap("rotation"), CellPartition(), 10, 2.5,
-                                           n_points=10)),
-    ("L", lambda: classical_msd_series(CellMap("rotation"), CellPartition(), 10.0, 3,
-                                       n_points=10)),
-    ("n_trajectories", lambda: phase_portrait(CellMap("harper", g=1.0), 2.5, 3)),
-    ("n_steps", lambda: phase_portrait(CellMap("harper", g=1.0), 3, 2.5)),
-    ("t", lambda: site_probabilities(build_momentum_blocks(
-        WalkConfig(L=10, coin=CoinSpec("dft", 2)), coin_matrix(CoinSpec("dft", 2))), 2.5)),
+def _dft_blocks():
+    return build_momentum_blocks(WalkConfig(L=10, coin=CoinSpec("dft", 2)),
+                                 coin_matrix(CoinSpec("dft", 2)))
+
+
+_SERIES = (CellMap("rotation"), CellPartition())
+_HARPER = CellMap("harper", g=1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WalkConfig(L=10.5, coin=CoinSpec("dft", 2)), "L: must be an integer, got 10.5"),
+    (lambda: CoinSpec("harper", 4.0), "M: must be an integer, got 4.0"),
+    (lambda: _one_point(10.0), "L: must be an integer, got 10.0"),
+    (lambda: run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), 2.5),
+     "t_max: must be an integer, got 2.5"),
+    (lambda: classical_msd_series(*_SERIES, 10, 2.5, n_points=10),
+     "t_max: must be an integer, got 2.5"),
+    (lambda: classical_msd_series(*_SERIES, 10.0, 3, n_points=10),
+     "L: must be an integer, got 10.0"),
+    (lambda: phase_portrait(_HARPER, 2.5, 3), "n_trajectories: must be an integer, got 2.5"),
+    (lambda: phase_portrait(_HARPER, 3, 2.5), "n_steps: must be an integer, got 2.5"),
+    (lambda: site_probabilities(_dft_blocks(), 2.5), "t: must be an integer, got 2.5"),
+    (lambda: twisted_dft(2.5, 0.0), "N: must be an integer, got 2.5"),
+    (lambda: PhaseEnsemble.uniform_fill(4, 2.5), "n_points: must be an integer, got 2.5"),
+    (lambda: PhaseEnsemble.uniform_fill(4, 10, seed=1.5), "seed: must be an integer, got 1.5"),
+    (lambda: phase_portrait(_HARPER, 3, 3, seed=1.5), "seed: must be an integer, got 1.5"),
+    (lambda: WalkConfig(L=1, coin=CoinSpec("dft", 2)), "L: must be >= 2, got 1"),
+    (lambda: CoinSpec("harper", 0), "M: must be >= 2, got 0"),
+    (lambda: _one_point(1), "L: must be >= 2, got 1"),
+    (lambda: run_time_series(WalkConfig(L=10, coin=CoinSpec("dft", 2)), 0),
+     "t_max: must be >= 1, got 0"),
+    (lambda: classical_msd_series(*_SERIES, 10, 0, n_points=10), "t_max: must be >= 1, got 0"),
+    (lambda: classical_msd_series(*_SERIES, 1, 3, n_points=10), "L: must be >= 2, got 1"),
+    (lambda: phase_portrait(_HARPER, 0, 3), "n_trajectories: must be >= 1, got 0"),
+    (lambda: phase_portrait(_HARPER, 3, 0), "n_steps: must be >= 1, got 0"),
+    (lambda: site_probabilities(_dft_blocks(), -1), "t: must be >= 0, got -1"),
+    (lambda: twisted_dft(0, 0.0), "N: must be >= 1, got 0"),
+    (lambda: PhaseEnsemble.uniform_fill(4, 0), "n_points: must be >= 1, got 0"),
+    (lambda: PhaseEnsemble.uniform_fill(4, 10, seed=-1), "seed: must be >= 0, got -1"),
+    (lambda: phase_portrait(_HARPER, 3, 3, seed=-1), "seed: must be >= 0, got -1"),
 ], ids=["WalkConfig.L", "CoinSpec.M", "PhaseEnsemble.L", "run_time_series.t_max",
         "classical_msd_series.t_max", "classical_msd_series.L", "phase_portrait.n_trajectories",
-        "phase_portrait.n_steps", "site_probabilities.t"])
-def test_sizes_must_be_integers(field, build):
-    # a float L = 10.5 would step an 11-site ring under the block phases of a 10.5-site one
-    with pytest.raises(ValueError, match=f"^{field}: must be an integer"):
+        "phase_portrait.n_steps", "site_probabilities.t", "twisted_dft.N",
+        "uniform_fill.n_points", "uniform_fill.seed", "phase_portrait.seed",
+        "WalkConfig.L=1", "CoinSpec.M=0", "PhaseEnsemble.L=1", "run_time_series.t_max=0",
+        "classical_msd_series.t_max=0", "classical_msd_series.L=1",
+        "phase_portrait.n_trajectories=0", "phase_portrait.n_steps=0", "site_probabilities.t=-1",
+        "twisted_dft.N=0", "uniform_fill.n_points=0", "uniform_fill.seed=-1",
+        "phase_portrait.seed=-1"])
+def test_sizes_must_be_integers(build, message):
+    # a float L = 10.5 would step an 11-site ring under the block phases of a 10.5-site one;
+    # every size, count and seed is checked by one rule with one text, the CLI's
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -57,7 +57,7 @@ class CellMap:
 
     def __post_init__(self) -> None:
         if self.kind not in MAP_KINDS:
-            raise ValueError(f"unknown map kind {self.kind!r}; expected one of {MAP_KINDS}")
+            raise ValueError(f"kind: must be one of {', '.join(MAP_KINDS)}, got {self.kind!r}")
         _check_kick(self.g, self.tau)
 
     def apply(self, q: NDArray[np.float64], p: NDArray[np.float64]):

@@ -71,7 +71,7 @@ class CoinSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in COIN_KINDS:
-            raise ValueError(f"unknown coin kind {self.kind!r}; expected one of {COIN_KINDS}")
+            raise ValueError(f"kind: must be one of {', '.join(COIN_KINDS)}, got {self.kind!r}")
         _check_count("M", self.M, 2)
         if self.M % 2 != 0:
             raise ValueError(f"M: coin dimension must be even, got {self.M}")

@@ -14,7 +14,8 @@ Two equivalent operator representations are built:
 - ``build_momentum_blocks``: the lattice momentum is conserved, so the
   same operator decomposes into L independent M x M blocks
   E_k = D_k U, where D_k carries phases exp(+-2*pi*i*k/L).  Every block
-  shares U, so the set is kept factored, as U and the (L, M) phases.
+  shares U, so the set is the checked U and L: only the block oracle builds
+  the (L, M) phases, on first read, and a run builds nothing of size L*M.
   ``_momentum_step`` steps all L sectors, O(M^2) per row, in one GEMM by U^T
   plus a phase multiply: the reference of the tests and of the block oracle.
 
@@ -32,11 +33,13 @@ unnormalized rows of E_k^t and leaves the site transform to
 ``observables``.
 
 All operators are pure data; block evolution touches no shared mutable
-state, so blocks may be processed concurrently.
+state (the one lazy attribute, the phases, is idempotent), so blocks may be
+processed concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,12 +59,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Lattice size ``L`` and coin choice ``coin``; nothing else.
-
-    Coin indices 0..M/2-1 shift to the left neighbour and M/2..M-1 to the
-    right.  Splitting the cell along the other coordinate is a property of
-    the coin matrix (``coins.coin_in_position_basis``), not of the walk.
-    """
+    """Lattice size ``L`` and coin choice ``coin``; nothing else.  Splitting the cell along
+    the other coordinate is a property of the coin (``coins.coin_in_position_basis``)."""
 
     L: int
     coin: CoinSpec
@@ -73,22 +72,19 @@ class WalkConfig:
     def M(self) -> int:
         return self.coin.M
 
-    def left_rows(self) -> NDArray[np.bool_]:
-        """Boolean mask over coin indices: True where the row shifts left."""
-        return np.arange(self.M) < self.M // 2
+
+def _left_rows(M: int) -> NDArray[np.bool_]:
+    """True on the coin rows 0..M/2-1, which shift to the left neighbour; M/2..M-1 shift right."""
+    return np.arange(M) < M // 2
 
 
 @dataclass(frozen=True)
 class MomentumBlockSet:
-    """The L unitary M x M blocks E_k = D_k U of the walk operator, kept factored:
-    the coin U (M, M) and the diagonals of the D_k, ``phases`` (L, M)."""
+    """The L unitary M x M blocks E_k = D_k U of the walk operator, kept as the checked
+    coin U (M, M) and the ring size L; the diagonals of the D_k are the oracle's ``phases``."""
 
     coin: NDArray[np.complex128]
-    phases: NDArray[np.complex128]
-
-    @property
-    def L(self) -> int:
-        return self.phases.shape[0]
+    L: int
 
     @property
     def M(self) -> int:
@@ -96,10 +92,19 @@ class MomentumBlockSet:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(L, M, M), the operator stack the set stands for.  perfbench's step count reads it
-        as 8*L*M^2*S flop for S rows per sector, all L momenta; a step of the light-cone window
-        at time t does 8*min(t + 1, ring_rows)*M^2*S."""
+        """(L, M, M), the operator stack the set stands for; nothing of this shape is built.
+        perfbench's step count reads it as 8*L*M^2*S flop for S rows per sector, all L momenta;
+        a step of the light-cone window at time t does 8*min(t + 1, ring_rows)*M^2*S."""
         return (self.L, self.M, self.M)
+
+    @functools.cached_property
+    def phases(self) -> NDArray[np.complex128]:
+        """The diagonals of the D_k, (L, M), read-only, built on first read for the block
+        oracle: e^{+2*pi*i*k/L} on the left-shifted coin rows, e^{-2*pi*i*k/L} on the rest."""
+        signs = np.where(_left_rows(self.M), 1.0, -1.0)
+        phases = np.exp(2j * np.pi * np.outer(np.arange(self.L), signs) / self.L)
+        phases.setflags(write=False)
+        return phases
 
     @property
     def ring_rows(self) -> int:
@@ -114,7 +119,8 @@ def momentum_to_site(psi: NDArray[np.complex128]) -> NDArray[np.complex128]:
 
 def _check_coin_dim(config: WalkConfig, U: NDArray[np.complex128]) -> None:
     if U.shape != (config.M, config.M):
-        raise ValueError(f"coin matrix shape {U.shape} does not match coin dimension M={config.M}")
+        raise ValueError(f"U: coin matrix shape {U.shape} does not match coin dimension "
+                         f"M={config.M}")
 
 
 def build_dense(config: WalkConfig, U: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -124,8 +130,7 @@ def build_dense(config: WalkConfig, U: NDArray[np.complex128]) -> NDArray[np.com
     at (site n+1, site n) the right-shifted rows, cyclically in n.
     """
     _check_coin_dim(config, U)
-    L, M = config.L, config.M
-    left = config.left_rows()
+    L, M, left = config.L, config.M, _left_rows(config.M)
     E = np.zeros((L * M, L * M), dtype=np.complex128)
     for n in range(L):
         dst_left = ((n - 1) % L) * M
@@ -137,7 +142,7 @@ def build_dense(config: WalkConfig, U: NDArray[np.complex128]) -> NDArray[np.com
 
 
 def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> MomentumBlockSet:
-    """Momentum-sector blocks E_k = D_k U of the walk operator, as U and the phases of D_k.
+    """Momentum-sector blocks E_k = D_k U of the walk operator, as the checked U and L.
 
     D_k is diagonal with e^{+2*pi*i*k/L} on the left-shifted coin rows and
     e^{-2*pi*i*k/L} on the right-shifted rows; this is exactly the dense
@@ -146,12 +151,7 @@ def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> Mome
     """
     coin = np.array(U, dtype=np.complex128)
     _check_coin_dim(config, coin)
-    _unitary(coin, "U: coin matrix")
-    L = config.L
-    signs = np.where(config.left_rows(), 1.0, -1.0)
-    phases = np.exp(2j * np.pi * np.outer(np.arange(L), signs) / L)  # (L, M)
-    phases.setflags(write=False)
-    return MomentumBlockSet(coin=coin, phases=phases)
+    return MomentumBlockSet(coin=_unitary(coin, "U: coin matrix"), L=config.L)
 
 
 def _momentum_step(blocks: MomentumBlockSet, psi: NDArray[np.complex128]) -> NDArray[np.complex128]:

@@ -199,7 +199,8 @@ def test_classical_counterpart_drops_quantum_phase():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^kind: must be one of rotation, baker, harper, got 'standard'$"):
         CellMap("standard")
     with pytest.raises(ValueError):
         CellMap("harper", g=-1.0)

@@ -134,7 +134,10 @@ def test_all_builders_unitary_up_to_m128(M, kind, kwargs):
 
 
 def test_coin_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^kind: must be one of dft, harper, baker, got 'x'$"):
+        CoinSpec("x", 2)
+    with pytest.raises(ValueError,
+                       match="^kind: must be one of dft, harper, baker, got 'standard'$"):
         CoinSpec("standard", 4)
     with pytest.raises(ValueError):
         CoinSpec("dft", 4, g=-0.5)

@@ -218,14 +218,17 @@ def test_kept_distributions_are_independent():
 
 
 def test_unkept_series_keeps_memory_of_order_L():
-    # kept, the 201 x 100003 distributions take 161 MB; a series that keeps none holds O(L)
-    tracemalloc.start()
-    try:
-        run_time_series(WalkConfig(L=100003, coin=CoinSpec("dft", 2)), 200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10e6, peak
+    # kept, the 201 x 100003 distributions take 161 MB; a series that keeps none holds
+    # O(L + t_max*M^2): no (L, M) table of momentum phases, 102 MB at M = 64, L = 100000
+    for coin, L, t_max in [(CoinSpec("dft", 2), 100003, 200),
+                           (CoinSpec("harper", 64, g=2.0), 100000, 10)]:
+        tracemalloc.start()
+        try:
+            run_time_series(WalkConfig(L=L, coin=coin), t_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, (coin, L, peak)
 
 
 @st.composite

@@ -287,9 +287,10 @@ def test_walk_config_validation():
 
 def test_coin_dimension_mismatch_raises():
     config = WalkConfig(L=4, coin=CoinSpec("dft", 4))
-    with pytest.raises(ValueError):
+    message = r"^U: coin matrix shape \(2, 2\) does not match coin dimension M=4$"
+    with pytest.raises(ValueError, match=message):
         build_dense(config, coin_matrix(CoinSpec("dft", 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         build_momentum_blocks(config, coin_matrix(CoinSpec("dft", 2)))
 
 

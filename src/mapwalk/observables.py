@@ -26,8 +26,8 @@ in position space, as a window of min(t + 1, R) rows, R = L // gcd(L, 2),
 cycling on the ring once the cone wraps; p_l(t) is their |amplitude|^2,
 every other site exactly 0.  Kept distributions are the rows of one
 (t_max + 1, L) matrix, so holding any one keeps the whole matrix alive.
-``site_probabilities`` steps the bundle (E_k^t)^T of all L momenta k and
-inverse-transforms it: the block oracle.
+``site_probabilities`` takes the matrix power E_k^t of the blocks of all L
+momenta k and inverse-transforms it: the block oracle.
 The reduction order is fixed, so repeated runs are bit-identical.
 Classical ensembles share the loop.
 """
@@ -38,14 +38,12 @@ import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .coins import coin_matrix, _check_count
-from .walk import (WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks,
-                   _momentum_step)
+from .walk import WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks, _block_stack
 
 __all__ = [
     "SiteDistribution",
@@ -147,30 +145,19 @@ def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int,
 
 
 def _momentum_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArray[np.float64]:
-    """Coin-averaged site probabilities at time t of the bundle (E_k^t)^T of all L momenta,
-    inverse-transformed in full; its sites outside -t..t, where the walk cannot be, are 0."""
+    """Coin-averaged site probabilities at time t of the stack E_k^t (L, M, M) of all L momenta,
+    inverse-transformed in full (with its 1/L, into <l, a|E^t|0, b>); its sites outside -t..t,
+    where the walk cannot be, are 0."""
     amps = np.fft.ifft(psi.reshape(L, -1), axis=0).view(np.float64)
     probs = np.einsum("ij,ij->i", amps, amps) / psi.shape[1]
     probs[t + 1:L - t] = 0.0
     return probs
 
 
-def _bundle_states(blocks: MomentumBlockSet) -> Iterator[NDArray[np.complex128]]:
-    """The oracle's bundle (E_k^t)^T at t = 0, 1, 2, ..., stepped only when resumed.
-
-    Shape (L, M, M): axis 0 is lattice momentum, axis 1 the start |0, b> a row belongs to,
-    axis 2 the coin index a; the inverse FFT (with its 1/L) turns it into <l, a|E^t|0, b>."""
-    L, M = blocks.L, blocks.M
-    psi = np.broadcast_to(np.eye(M, dtype=np.complex128), (L, M, M)).copy()
-    while True:
-        yield psi
-        psi = _momentum_step(blocks, psi)
-
-
 def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
-    """Distribution p_l(t) of the M coin-basis starts with all L momenta stepped (the oracle)."""
+    """Distribution p_l(t) of the M coin-basis starts from the powers E_k^t (the oracle)."""
     _check_count("t", t, 0)
-    psi = next(islice(_bundle_states(blocks), t, None))  # no site transform before t
+    psi = np.linalg.matrix_power(_block_stack(blocks), t)
     return SiteDistribution(L=blocks.L, probs=_momentum_site_probs(psi, t=t, L=blocks.L), time=t)
 
 
@@ -228,6 +215,7 @@ def trace_site_probabilities(E: NDArray[np.complex128], L: int, M: int,
     Deliberately independent of the block evolution path: builds the
     projector matrices explicitly and uses matrix powers.
     """
+    _check_count("t", t, 0)
     dim = L * M
     if E.shape != (dim, dim):
         raise ValueError(f"operator shape {E.shape} != {(dim, dim)}")

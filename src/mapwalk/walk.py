@@ -14,10 +14,9 @@ Two equivalent operator representations are built:
 - ``build_momentum_blocks``: the lattice momentum is conserved, so the
   same operator decomposes into L independent M x M blocks
   E_k = D_k U, where D_k carries phases exp(+-2*pi*i*k/L).  Every block
-  shares U, so the set is the checked U and L: only the block oracle builds
-  the (L, M) phases, on first read, and a run builds nothing of size L*M.
-  ``_momentum_step`` steps all L sectors, O(M^2) per row, in one GEMM by U^T
-  plus a phase multiply: the reference of the tests and of the block oracle.
+  shares U, so the set is the checked U and L, and a run builds nothing of
+  size L*M.  Only the block oracle builds the (L, M, M) stack of the E_k,
+  ``_block_stack``, and takes its matrix power, as the dense oracle does E's.
 
 A walk released from site 0 can be only on the min(t + 1, R) sites -t + 2j
 mod L at time t, R = L // gcd(L, 2): its light cone.  ``_apply_blocks`` steps
@@ -28,18 +27,15 @@ The lattice Fourier convention is <n|k> = exp(2*pi*i*n*k/L)/sqrt(L); the
 block phases are fixed by requiring exact agreement with the dense
 operator under that convention (the phase on the left-shifted rows is
 e^{+2*pi*i*k/L}).  ``momentum_to_site`` applies it to normalized momentum
-states; the tests use it as an oracle.  The evolution itself keeps the
-unnormalized rows of E_k^t and leaves the site transform to
-``observables``.
+states; the tests use it as an oracle.  The block oracle keeps the
+unnormalized E_k^t and leaves the site transform to ``observables``.
 
 All operators are pure data; block evolution touches no shared mutable
-state (the one lazy attribute, the phases, is idempotent), so blocks may be
-processed concurrently.
+state, so blocks may be processed concurrently.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -81,7 +77,7 @@ def _left_rows(M: int) -> NDArray[np.bool_]:
 @dataclass(frozen=True)
 class MomentumBlockSet:
     """The L unitary M x M blocks E_k = D_k U of the walk operator, kept as the checked
-    coin U (M, M) and the ring size L; the diagonals of the D_k are the oracle's ``phases``."""
+    coin U (M, M) and the ring size L: plain frozen data, with no table of the D_k."""
 
     coin: NDArray[np.complex128]
     L: int
@@ -92,19 +88,10 @@ class MomentumBlockSet:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(L, M, M), the operator stack the set stands for; nothing of this shape is built.
+        """(L, M, M), the operator stack the set stands for; only ``_block_stack`` builds it.
         perfbench's step count reads it as 8*L*M^2*S flop for S rows per sector, all L momenta;
         a step of the light-cone window at time t does 8*min(t + 1, ring_rows)*M^2*S."""
         return (self.L, self.M, self.M)
-
-    @functools.cached_property
-    def phases(self) -> NDArray[np.complex128]:
-        """The diagonals of the D_k, (L, M), read-only, built on first read for the block
-        oracle: e^{+2*pi*i*k/L} on the left-shifted coin rows, e^{-2*pi*i*k/L} on the rest."""
-        signs = np.where(_left_rows(self.M), 1.0, -1.0)
-        phases = np.exp(2j * np.pi * np.outer(np.arange(self.L), signs) / self.L)
-        phases.setflags(write=False)
-        return phases
 
     @property
     def ring_rows(self) -> int:
@@ -141,6 +128,14 @@ def build_dense(config: WalkConfig, U: NDArray[np.complex128]) -> NDArray[np.com
     return _unitary(E, "walk operator")
 
 
+def _block_stack(blocks: MomentumBlockSet) -> NDArray[np.complex128]:
+    """The (L, M, M) stack of the blocks E_k = D_k U, for the block oracle: D_k is
+    e^{+2*pi*i*k/L} on the left-shifted coin rows and e^{-2*pi*i*k/L} on the rest."""
+    signs = np.where(_left_rows(blocks.M), 1.0, -1.0)
+    phases = np.exp(2j * np.pi * np.outer(np.arange(blocks.L), signs) / blocks.L)
+    return phases[:, :, None] * blocks.coin
+
+
 def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> MomentumBlockSet:
     """Momentum-sector blocks E_k = D_k U of the walk operator, as the checked U and L.
 
@@ -152,15 +147,6 @@ def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> Mome
     coin = np.array(U, dtype=np.complex128)
     _check_coin_dim(config, coin)
     return MomentumBlockSet(coin=_unitary(coin, "U: coin matrix"), L=config.L)
-
-
-def _momentum_step(blocks: MomentumBlockSet, psi: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """One step of all L momentum sectors psi (L, S, M), S rows each, for the oracle: one GEMM
-    by U^T over all L*S rows, then the sector phases, so row r of sector k becomes E_k psi[k, r]."""
-    L, S, M = psi.shape
-    stepped = (psi.reshape(L * S, M) @ blocks.coin.T).reshape(L, S, M)
-    stepped *= blocks.phases[:, None, :]
-    return stepped
 
 
 def _apply_blocks(blocks: MomentumBlockSet, psi: NDArray[np.complex128],

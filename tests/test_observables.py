@@ -13,12 +13,12 @@ from mapwalk.classical import (CellMap, CellPartition, PhaseEnsemble, classical_
                                phase_portrait)
 from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix, twisted_dft
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, momentum_to_site,
-                          _apply_blocks, _momentum_step)
+                          _apply_blocks, _block_stack)
 from mapwalk.observables import (SiteDistribution, WalkTimeSeries,
                                  site_probabilities, msd, site_entropy,
                                  participation_ratio, run_time_series,
                                  trace_site_probabilities, _bundle_site_probs,
-                                 _bundle_states, _momentum_site_probs)
+                                 _momentum_site_probs)
 
 TOL = 1e-10
 
@@ -63,6 +63,14 @@ def test_site_probabilities_hadamard_one_step():
     assert np.all(np.abs(np.delete(d.probs, [1, 99])) < 1e-12)
 
 
+def test_site_probabilities_leaves_the_block_set_unchanged():
+    # the oracle builds its stack afresh and caches nothing on the frozen set
+    blocks = build_momentum_blocks(WalkConfig(L=9, coin=CoinSpec("dft", 4)),
+                                   coin_matrix(CoinSpec("dft", 4)))
+    site_probabilities(blocks, 3)
+    assert sorted(vars(blocks)) == ["L", "coin"]
+
+
 def test_site_probabilities_normalized_late_time():
     coin = CoinSpec("harper", 4, g=1.0)
     blocks = build_momentum_blocks(WalkConfig(L=100, coin=coin), coin_matrix(coin))
@@ -99,7 +107,7 @@ def test_backward_trace_form_is_the_mirrored_distribution():
 
 def test_coin_basis_independence_of_distribution():
     # Averaging over any rotated orthonormal coin basis leaves p_l(t)
-    # unchanged (trace invariance): seed the bundle with V instead of I.
+    # unchanged (trace invariance): start the columns from V instead of I.
     coin = CoinSpec("harper", 4, g=2.0, phi=0.2)
     L = 6
     blocks = build_momentum_blocks(WalkConfig(L=L, coin=coin), coin_matrix(coin))
@@ -109,9 +117,7 @@ def test_coin_basis_independence_of_distribution():
     V = V * np.exp(-1j * np.angle(np.diag(r)))[None, :]
 
     reference = site_probabilities(blocks, 8).probs
-    psi = np.broadcast_to(V.T / np.sqrt(L), (L, 4, 4)).copy()  # rows are the starts
-    for _ in range(8):
-        psi = _momentum_step(blocks, psi)
+    psi = np.linalg.matrix_power(_block_stack(blocks), 8) @ (V / np.sqrt(L))  # columns: starts
     rotated = (np.abs(momentum_to_site(psi)) ** 2).sum(axis=(1, 2)) / 4
     np.testing.assert_allclose(rotated, reference, atol=TOL)
 
@@ -365,6 +371,10 @@ def _dft_blocks():
                                  coin_matrix(CoinSpec("dft", 2)))
 
 
+def _dft_dense():
+    return build_dense(WalkConfig(L=10, coin=CoinSpec("dft", 2)), coin_matrix(CoinSpec("dft", 2)))
+
+
 _SERIES = (CellMap("rotation"), CellPartition())
 _HARPER = CellMap("harper", g=1.0)
 
@@ -382,6 +392,7 @@ _HARPER = CellMap("harper", g=1.0)
     (lambda: phase_portrait(_HARPER, 2.5, 3), "n_trajectories: must be an integer, got 2.5"),
     (lambda: phase_portrait(_HARPER, 3, 2.5), "n_steps: must be an integer, got 2.5"),
     (lambda: site_probabilities(_dft_blocks(), 2.5), "t: must be an integer, got 2.5"),
+    (lambda: trace_site_probabilities(_dft_dense(), 10, 2, 2.5), "t: must be an integer, got 2.5"),
     (lambda: twisted_dft(2.5, 0.0), "N: must be an integer, got 2.5"),
     (lambda: PhaseEnsemble.uniform_fill(4, 2.5), "n_points: must be an integer, got 2.5"),
     (lambda: PhaseEnsemble.uniform_fill(4, 10, seed=1.5), "seed: must be an integer, got 1.5"),
@@ -396,19 +407,20 @@ _HARPER = CellMap("harper", g=1.0)
     (lambda: phase_portrait(_HARPER, 0, 3), "n_trajectories: must be >= 1, got 0"),
     (lambda: phase_portrait(_HARPER, 3, 0), "n_steps: must be >= 1, got 0"),
     (lambda: site_probabilities(_dft_blocks(), -1), "t: must be >= 0, got -1"),
+    (lambda: trace_site_probabilities(_dft_dense(), 10, 2, -1), "t: must be >= 0, got -1"),
     (lambda: twisted_dft(0, 0.0), "N: must be >= 1, got 0"),
     (lambda: PhaseEnsemble.uniform_fill(4, 0), "n_points: must be >= 1, got 0"),
     (lambda: PhaseEnsemble.uniform_fill(4, 10, seed=-1), "seed: must be >= 0, got -1"),
     (lambda: phase_portrait(_HARPER, 3, 3, seed=-1), "seed: must be >= 0, got -1"),
 ], ids=["WalkConfig.L", "CoinSpec.M", "PhaseEnsemble.L", "run_time_series.t_max",
         "classical_msd_series.t_max", "classical_msd_series.L", "phase_portrait.n_trajectories",
-        "phase_portrait.n_steps", "site_probabilities.t", "twisted_dft.N",
-        "uniform_fill.n_points", "uniform_fill.seed", "phase_portrait.seed",
+        "phase_portrait.n_steps", "site_probabilities.t", "trace_site_probabilities.t",
+        "twisted_dft.N", "uniform_fill.n_points", "uniform_fill.seed", "phase_portrait.seed",
         "WalkConfig.L=1", "CoinSpec.M=0", "PhaseEnsemble.L=1", "run_time_series.t_max=0",
         "classical_msd_series.t_max=0", "classical_msd_series.L=1",
         "phase_portrait.n_trajectories=0", "phase_portrait.n_steps=0", "site_probabilities.t=-1",
-        "twisted_dft.N=0", "uniform_fill.n_points=0", "uniform_fill.seed=-1",
-        "phase_portrait.seed=-1"])
+        "trace_site_probabilities.t=-1", "twisted_dft.N=0", "uniform_fill.n_points=0",
+        "uniform_fill.seed=-1", "phase_portrait.seed=-1"])
 def test_sizes_must_be_integers(build, message):
     # a float L = 10.5 would step an 11-site ring under the block phases of a 10.5-site one;
     # every size, count and seed is checked by one rule with one text, the CLI's
@@ -452,10 +464,13 @@ def test_light_cone_transform_matches_full_transform(coin, L):
     blocks = build_momentum_blocks(WalkConfig(L=L, coin=coin), coin_matrix(coin))
     sites = np.arange(L)
     outside = np.minimum(sites, L - sites)[None, :] > np.arange(L // 2 + 3)[:, None]
-    for t, psi in zip(range(L // 2 + 3), _bundle_states(blocks)):
+    stack = _block_stack(blocks)
+    psi = np.linalg.matrix_power(stack, 0)
+    for t in range(L // 2 + 3):  # psi is E_k^t: one product with the stack per step
         p = _momentum_site_probs(psi, t=t, L=L)
         np.testing.assert_allclose(p, full_transform_probs(psi), rtol=0, atol=1e-14)
         assert np.all(p[outside[t]] == 0.0)
+        psi = stack @ psi
 
 
 @pytest.mark.parametrize("M", [2, 32])
@@ -546,6 +561,21 @@ def test_window_series_matches_the_block_oracle(case, kind, M, phi, partition):
             dense = (np.abs(starts) ** 2).reshape(L, -1).sum(axis=1) / M
             np.testing.assert_allclose(p, dense, rtol=0, atol=TOL)
             starts = E @ starts
+
+
+@pytest.mark.parametrize("L", [9, 13])
+@pytest.mark.parametrize("kind, phi, partition", [("dft", None, "horizontal"),
+                                                  ("baker", None, "horizontal"),
+                                                  ("harper", 0.2, "vertical")])
+def test_window_series_matches_the_block_oracle_after_many_wraps(kind, phi, partition, L):
+    # hundreds of wraps of the light cone, where the hypothesis cases stop at 3L + 3
+    spec, U = coin_and_partition(kind, 4, phi, partition)
+    config = WalkConfig(L=L, coin=spec)
+    series = run_time_series(config, 1000, keep_distributions=True, U=U)
+    blocks = build_momentum_blocks(config, U)
+    for t in (250, 500, 1000):
+        np.testing.assert_allclose(series.distributions[t].probs,
+                                   site_probabilities(blocks, t).probs, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("L, t_max", [(2, 3), (3, 3), (9, 8), (16, 3), (20, 12), (101, 30),

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix
-from mapwalk.observables import _bundle_states, site_probabilities
+from mapwalk.observables import site_probabilities
 from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, _apply_blocks,
-                          _momentum_step, momentum_to_site)
+                          _block_stack, momentum_to_site)
 
 TOL = 1e-10
 
@@ -30,21 +30,20 @@ def coin_averaged_probs_dense(E, L, M, t):
 
 
 def momentum_column(L, M, coin):
-    """|site 0> x |coin> in the momentum basis, as an (L, 1, M) row for _momentum_step."""
-    psi = np.zeros((L, 1, M), dtype=complex)
-    psi[:, 0, coin] = 1.0 / np.sqrt(L)
+    """|site 0> x |coin> in the momentum basis, as an (L, M, 1) column per momentum."""
+    psi = np.zeros((L, M, 1), dtype=complex)
+    psi[:, coin, 0] = 1.0 / np.sqrt(L)
     return psi
 
 
 def step_column(blocks, psi, steps):
-    for _ in range(steps):
-        psi = _momentum_step(blocks, psi)
-    return psi
+    """The columns psi (L, M, 1) after ``steps`` steps: E_k^steps times column k."""
+    return np.linalg.matrix_power(_block_stack(blocks), steps) @ psi
 
 
 def block(blocks, k):
     """E_k = D_k U, the block the factored set stands for."""
-    return blocks.phases[k][:, None] * blocks.coin
+    return _block_stack(blocks)[k]
 
 
 def test_dense_single_step_hand_computed():
@@ -107,10 +106,12 @@ def test_block_phases_are_exact_at_k0_and_unimodular():
     for L, M in [(2, 2), (9, 4), (400, 64)]:
         config = WalkConfig(L=L, coin=CoinSpec("dft", M))
         blocks = build_momentum_blocks(config, coin_matrix(config.coin))
-        assert blocks.shape == (L, M, M)
-        assert np.array_equal(blocks.phases[0], np.ones(M))
-        assert np.max(np.abs(np.abs(blocks.phases) - 1.0)) < 1e-15
-        assert not blocks.coin.flags.writeable and not blocks.phases.flags.writeable
+        stack = _block_stack(blocks)
+        assert stack.shape == blocks.shape == (L, M, M)
+        assert np.array_equal(stack[0], blocks.coin)
+        # each row of E_k is the row of U times a phase of modulus 1
+        assert np.max(np.abs(np.abs(stack) - np.abs(blocks.coin))) < 1e-15
+        assert not blocks.coin.flags.writeable
 
 
 def step_coins(M):
@@ -124,19 +125,18 @@ def step_coins(M):
 @pytest.mark.parametrize("M", [2, 4, 64])
 @pytest.mark.parametrize("kind", ["dft", "harper", "baker", "vertical"])
 def test_apply_blocks_matches_stacked_product(kind, M):
-    # oracle: the materialized stack D_k U times the columns, i.e. the rows transposed
+    # oracle: the dense operator in the momentum basis <n|k> = e^{2 pi i nk/L}/sqrt(L),
+    # F^dag E F, is block diagonal with the blocks E_k of the stack
     U = step_coins(M)[kind]
-    rng = np.random.default_rng(M)
-    for L in (2, 3, 9, 400):
-        blocks = build_momentum_blocks(WalkConfig(L=L, coin=CoinSpec("dft", M)), U)
-        stack = blocks.phases[:, :, None] * U
-        for R in (1, M):
-            psi = rng.normal(size=(L, R, M)) + 1j * rng.normal(size=(L, R, M))
-            psi /= np.linalg.norm(psi, axis=2, keepdims=True)
-            want = np.matmul(stack, psi.transpose(0, 2, 1)).transpose(0, 2, 1)
-            got = _momentum_step(blocks, psi)
-            assert got.shape == (L, R, M)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    for L in (2, 3, 9):
+        config = WalkConfig(L=L, coin=CoinSpec("dft", M))
+        F = np.kron(np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L) / np.sqrt(L),
+                    np.eye(M))
+        got = (F.conj().T @ build_dense(config, U) @ F).reshape(L, M, L, M)
+        stack = _block_stack(build_momentum_blocks(config, U))
+        want = np.zeros((L, M, L, M), dtype=complex)
+        want[np.arange(L), :, np.arange(L), :] = stack
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("coin", ALL_COINS)
@@ -179,11 +179,11 @@ def test_block_evolution_matches_dense_oracle(L, coin):
 
 
 def test_evolve_zero_steps_is_identity():
-    # the stepper yields the start bundle E_k^0 = 1 itself before its first step, and
-    # the plain inverse FFT of the bundle gives the site amplitudes
+    # the zeroth power of the stack is E_k^0 = 1 itself, and the plain inverse FFT of it
+    # gives the site amplitudes
     config = WalkConfig(L=6, coin=CoinSpec("dft", 4))
     blocks = build_momentum_blocks(config, coin_matrix(config.coin))
-    start = next(_bundle_states(blocks))
+    start = np.linalg.matrix_power(_block_stack(blocks), 0)
     np.testing.assert_array_equal(start, np.broadcast_to(np.eye(4), (6, 4, 4)))
     expected = np.zeros((6, 4, 4))
     expected[0] = np.eye(4)
@@ -194,7 +194,7 @@ def test_evolve_hadamard_one_step_support():
     config = WalkConfig(L=100, coin=CoinSpec("dft", 2))
     blocks = build_momentum_blocks(config, coin_matrix(config.coin))
     site = momentum_to_site(step_column(blocks, momentum_column(100, 2, 0), 1))
-    support = set(np.nonzero((np.abs(site[:, 0, :]) ** 2).sum(axis=1) > 1e-20)[0])
+    support = set(np.nonzero((np.abs(site[:, :, 0]) ** 2).sum(axis=1) > 1e-20)[0])
     assert support == {1, 99}
 
 
@@ -257,7 +257,7 @@ def test_amplitude_agrees_across_representations():
     U = coin_matrix(config.coin)
     blocks = build_momentum_blocks(config, U)
     E = build_dense(config, U)
-    mom = step_column(blocks, momentum_column(8, 4, 1), 7)[:, 0, :]
+    mom = step_column(blocks, momentum_column(8, 4, 1), 7)[:, :, 0]
     dense = np.zeros(8 * 4, dtype=complex)
     dense[0 * 4 + 1] = 1.0
     for _ in range(7):

@@ -8,19 +8,20 @@ pair; there are no separate scalar versions.  They back ``classical``.
 None of the maps takes a boundary-phase argument: the phase
 acts only on the quantum side, so its absence here is structural.
 
-Every map writes straight into the arrays it returns: its ufuncs run
-with ``out=``.  The Harper map, its inverse and the baker map share one
-driver, ``_map_points``.  It cuts the flat points into one contiguous
-chunk per CPU it may use (``os.sched_getaffinity`` where the platform has
-it, else ``os.cpu_count()``), but into no more chunks than there are
-whole blocks of ``2**15`` points, and runs the chunks at once through
-``parallel_map``, since numpy's ufuncs release the GIL.  A chunk runs one
-block at a time through one scratch block, so for a 1-D or contiguous
-input no array of its size is made besides the results.  Each point's
-image depends on that point alone, so the result is the same bit for bit
-however the input is chunked.  The reduction mod 1 is ``x - floor(x)``,
-which is ``x % 1.0`` bit for bit (both round the same exact value); a
-second pass folds the 1.0 that a tiny negative x rounds to back to 0.
+Every map writes straight into the arrays it returns: its ufuncs run with
+``out=``.  The Harper map, its inverse, the baker map and the classical
+walk's half-cell shift share one driver, ``_run_blocks``.  It cuts the flat
+points into one contiguous chunk per CPU it may use
+(``os.sched_getaffinity`` where the platform has it, else
+``os.cpu_count()``), but into no more chunks than there are whole blocks
+of ``2**15`` points, and runs the chunks at once through ``parallel_map``,
+since numpy's ufuncs release the GIL.  A chunk runs one block at a time
+through one scratch block, so for a 1-D or contiguous input no array of
+its size is made besides the results.  Each point's image depends on that
+point alone, so no bit of the result depends on the chunks.  The reduction
+mod 1 is ``x - floor(x)``, which is ``x % 1.0`` bit for bit (both round
+the same exact value); a second pass folds the 1.0 that a tiny negative x
+rounds to back to 0.
 
 ``parallel_map`` is the package's only source of threads (the CLI's sweep
 combinations run through it too).  Each call starts and joins its own, and
@@ -133,31 +134,34 @@ def _baker_kernel(q, p, q_out, p_out, step) -> None:
     p_out -= step
 
 
+def _run_blocks(n: int, dtype, run_block) -> None:
+    """``run_block(block, scratch)`` on each block, a slice of range(n), in chunks run through
+    ``parallel_map``; each chunk's blocks share one scratch block of ``dtype``."""
+    def run_chunk(lo: int, hi: int) -> None:
+        scratch = np.empty(min(_BLOCK, hi - lo), dtype)
+        for i in range(lo, hi, _BLOCK):
+            j = min(i + _BLOCK, hi)
+            run_block(slice(i, j), scratch[:j - i])
+
+    blocks = n // _BLOCK
+    chunks = min(_usable_cpus(), blocks) if blocks > 1 else 1  # at least a block per chunk
+    if chunks == 1:  # on the calling thread, with no item list to build
+        return run_chunk(0, n)
+    bounds = [n * i // chunks for i in range(chunks + 1)]
+    parallel_map(lambda lo_hi: run_chunk(*lo_hi), zip(bounds, bounds[1:]))
+
+
 def _map_points(kernel, a, b, *consts):
     """New arrays (a', b'): ``kernel(a, b, *consts, a_out, b_out, scratch)`` on every point
-    of the broadcast a, b, in chunks run through ``parallel_map``, one block at a time."""
+    of the broadcast a, b, block by block through ``_run_blocks``."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     dtype = np.result_type(a, b, 1.0)
     out = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
     # every shape runs flat; the fresh results flatten to views of themselves
-    a_flat, b_flat, a_out, b_out = (x.reshape(-1) for x in (a, b, *out))
-    n = a.size
-
-    def run_chunk(lo: int, hi: int) -> None:
-        scratch = np.empty(min(_BLOCK, hi - lo), dtype)
-        for i in range(lo, hi, _BLOCK):
-            j = min(i + _BLOCK, hi)
-            kernel(a_flat[i:j], b_flat[i:j], *consts, a_out[i:j], b_out[i:j], scratch[:j - i])
-
-    blocks = n // _BLOCK
-    chunks = min(_usable_cpus(), blocks) if blocks > 1 else 1  # at least a block per chunk
-    if chunks == 1:  # on the calling thread, with no item list to build
-        run_chunk(0, n)
-        return out
-    bounds = [n * i // chunks for i in range(chunks + 1)]
-    parallel_map(lambda lo_hi: run_chunk(*lo_hi), zip(bounds, bounds[1:]))
+    a, b, a_out, b_out = (x.reshape(-1) for x in (a, b, *out))
+    _run_blocks(a.size, dtype, lambda s, tmp: kernel(a[s], b[s], *consts, a_out[s], b_out[s], tmp))
     return out
 
 

@@ -14,9 +14,9 @@ four steps.  No boundary phase appears anywhere in this module: the
 phase is a purely quantum parameter.
 
 Evolution is vectorized over the ensemble and bitwise deterministic for
-a fixed seed; points are independent, so a fixed ensemble may be split
-into chunks stepped concurrently with bit-identical results (a different
-seed per chunk would change the fill, and so the result).
+a fixed seed.  Points are independent, so the cell maps' chunk driver
+steps them in concurrent chunks, bit for bit; it runs the half-cell shift
+too, block by block, so a step allocates only its three outputs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .cellmaps import rotation_map, baker_map, harper_map
+from .cellmaps import _run_blocks, rotation_map, baker_map, harper_map
 from .coins import CoinSpec, _check_count, _check_kick
 from .observables import SiteDistribution, WalkTimeSeries, _time_series
 # bound here as well because perfbench traces the statistics in this namespace
@@ -153,11 +153,10 @@ class PhaseEnsemble:
         With a power-of-two side this aligns with the baker map's dyadic
         partitions, making the multi-baker walk exactly binomial.
         """
+        _check_count("side", side, 1)
         centers = (np.arange(side) + 0.5) / side
         qq, pp = np.meshgrid(centers, centers, indexing="ij")
-        n = side * side
-        return cls(cells=np.zeros(n, dtype=np.int64),
-                   q=qq.reshape(n), p=pp.reshape(n), L=L)
+        return cls(cells=np.zeros(side * side, dtype=np.int64), q=qq.ravel(), p=pp.ravel(), L=L)
 
 
 def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
@@ -168,13 +167,18 @@ def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
     """
     q, p = cell_map.apply(ens.q, ens.p)
     coord = p if partition.orientation == "horizontal" else q
-    # look up cell + 1 (lower half) or cell - 1 (upper half) in [right | left] neighbours,
-    # which wraps the ring without an integer modulo
-    sites = np.arange(ens.L)
-    neighbours = np.concatenate((np.roll(sites, -1), np.roll(sites, 1)))
-    index = np.multiply(coord >= 0.5, ens.L)
-    index += ens.cells
-    cells = neighbours[index]
+    # cell + 1 (lower half) or cell - 1 (upper half) from [right | left] neighbours; cells in
+    # 0..L-1 keep every index in range, so mode "clip" can skip the default mode's buffer
+    neighbours = (np.arange(2 * ens.L, dtype=np.int64) + np.repeat([1, -1], ens.L)) % ens.L
+    cells = np.empty(len(ens), np.int64)
+
+    def shift(block: slice, index: NDArray[np.int64]) -> None:
+        np.greater_equal(coord[block], 0.5, out=index)
+        index *= ens.L
+        index += ens.cells[block]
+        neighbours.take(index, out=cells[block], mode="clip")
+
+    _run_blocks(len(ens), np.int64, shift)
     return replace(ens, cells=cells, q=q, p=p, time=ens.time + 1)
 
 

@@ -155,7 +155,9 @@ def _momentum_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDAr
 
 
 def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
-    """Distribution p_l(t) of the M coin-basis starts from the powers E_k^t (the oracle)."""
+    """Distribution p_l(t) of the M coin-basis starts from the powers E_k^t (the oracle).
+    ``np.linalg.matrix_power`` holds about four (L, M, M) stacks at its peak: about
+    105 MB at M=64, L=400 and 2.6 GB at M=64, L=10**4."""
     _check_count("t", t, 0)
     psi = np.linalg.matrix_power(_block_stack(blocks), t)
     return SiteDistribution(L=blocks.L, probs=_momentum_site_probs(psi, t=t, L=blocks.L), time=t)

@@ -3,6 +3,7 @@
 import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,3 +305,58 @@ def test_multi_map_step_leaves_input_unchanged(cell_map, orientation):
     coord = p if orientation == "horizontal" else q
     assert np.array_equal(stepped.cells, (ens.cells + np.where(coord >= 0.5, -1, 1)) % 6)
     assert stepped.cells.dtype == np.int64
+
+
+_B = cellmaps._BLOCK
+
+
+@pytest.mark.parametrize("n", [1, _B - 1, _B, 2 * _B + 5, 2**17 + 3])
+@pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
+def test_block_shift_equals_the_modular_rule(monkeypatch, n, orientation):
+    # the rotation map runs outside the chunk driver, so every parallel_map call is the
+    # shift's; it maps (q, p) to (1 - p, q), so q = 1/2 (horizontal) and p = 1/2 (vertical)
+    # put the partition coordinate exactly on the threshold
+    L = 7
+    rng = np.random.default_rng(n)
+    q, p = rng.random(n), rng.random(n)
+    q[::3] = p[::3] = 0.5
+    cells = rng.integers(0, L, n).astype(np.int32)
+    cells[::2], cells[1::4] = 0, L - 1  # both ends of the ring, each with both halves
+    ens = PhaseEnsemble(cells=cells, q=q, p=p, L=L)
+    q_out, p_out = CellMap("rotation").apply(q, p)
+    coord = p_out if orientation == "horizontal" else q_out
+    want = (cells + np.where(coord >= 0.5, -1, 1)) % L
+    assert want.dtype == np.int64 and (coord == 0.5).any()
+    chunk_counts, run_chunks = [], cellmaps.parallel_map
+
+    def recording_parallel_map(fn, items):
+        items = list(items)
+        chunk_counts.append(len(items))
+        return run_chunks(fn, items)
+
+    monkeypatch.setattr(cellmaps, "parallel_map", recording_parallel_map)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cellmaps, "_usable_cpus", lambda cpus=cpus: cpus)
+        stepped = multi_map_step(ens, CellMap("rotation"), CellPartition(orientation))
+        assert stepped.cells.dtype == np.int64
+        assert stepped.cells.tobytes() == want.tobytes(), cpus
+    # one chunk per usable CPU, capped by the whole blocks; a lone chunk makes no call
+    chunks = [min(cpus, n // _B) if n // _B > 1 else 1 for cpus in (1, 2, 3)]
+    assert chunk_counts == [c for c in chunks if c > 1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_step_allocates_only_its_outputs_and_a_few_blocks(monkeypatch, cpus):
+    # q', p' and the cells take 24 bytes a point; the map and the shift each add one scratch
+    # block per chunk, freed before the next; a full-size shift index would add 8 bytes a
+    # point, 16 blocks here
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: cpus)
+    n = 16 * _B
+    ens = multi_map_step(PhaseEnsemble.uniform_fill(10, n, seed=3), CellMap("baker"))
+    tracemalloc.start()
+    try:
+        multi_map_step(ens, CellMap("harper", g=2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n + 4 * 8 * _B, (peak - 24 * n) / (8 * _B)

@@ -396,6 +396,7 @@ _HARPER = CellMap("harper", g=1.0)
     (lambda: twisted_dft(2.5, 0.0), "N: must be an integer, got 2.5"),
     (lambda: PhaseEnsemble.uniform_fill(4, 2.5), "n_points: must be an integer, got 2.5"),
     (lambda: PhaseEnsemble.uniform_fill(4, 10, seed=1.5), "seed: must be an integer, got 1.5"),
+    (lambda: PhaseEnsemble.grid_fill(4, 2.0), "side: must be an integer, got 2.0"),
     (lambda: phase_portrait(_HARPER, 3, 3, seed=1.5), "seed: must be an integer, got 1.5"),
     (lambda: WalkConfig(L=1, coin=CoinSpec("dft", 2)), "L: must be >= 2, got 1"),
     (lambda: CoinSpec("harper", 0), "M: must be >= 2, got 0"),
@@ -411,16 +412,19 @@ _HARPER = CellMap("harper", g=1.0)
     (lambda: twisted_dft(0, 0.0), "N: must be >= 1, got 0"),
     (lambda: PhaseEnsemble.uniform_fill(4, 0), "n_points: must be >= 1, got 0"),
     (lambda: PhaseEnsemble.uniform_fill(4, 10, seed=-1), "seed: must be >= 0, got -1"),
+    (lambda: PhaseEnsemble.grid_fill(4, 0), "side: must be >= 1, got 0"),
+    (lambda: PhaseEnsemble.grid_fill(4, -2), "side: must be >= 1, got -2"),
     (lambda: phase_portrait(_HARPER, 3, 3, seed=-1), "seed: must be >= 0, got -1"),
 ], ids=["WalkConfig.L", "CoinSpec.M", "PhaseEnsemble.L", "run_time_series.t_max",
         "classical_msd_series.t_max", "classical_msd_series.L", "phase_portrait.n_trajectories",
         "phase_portrait.n_steps", "site_probabilities.t", "trace_site_probabilities.t",
-        "twisted_dft.N", "uniform_fill.n_points", "uniform_fill.seed", "phase_portrait.seed",
+        "twisted_dft.N", "uniform_fill.n_points", "uniform_fill.seed", "grid_fill.side",
+        "phase_portrait.seed",
         "WalkConfig.L=1", "CoinSpec.M=0", "PhaseEnsemble.L=1", "run_time_series.t_max=0",
         "classical_msd_series.t_max=0", "classical_msd_series.L=1",
         "phase_portrait.n_trajectories=0", "phase_portrait.n_steps=0", "site_probabilities.t=-1",
         "trace_site_probabilities.t=-1", "twisted_dft.N=0", "uniform_fill.n_points=0",
-        "uniform_fill.seed=-1", "phase_portrait.seed=-1"])
+        "uniform_fill.seed=-1", "grid_fill.side=0", "grid_fill.side=-2", "phase_portrait.seed=-1"])
 def test_sizes_must_be_integers(build, message):
     # a float L = 10.5 would step an 11-site ring under the block phases of a 10.5-site one;
     # every size, count and seed is checked by one rule with one text, the CLI's

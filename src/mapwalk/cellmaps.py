@@ -10,23 +10,23 @@ acts only on the quantum side, so its absence here is structural.
 
 Every map writes straight into the arrays it returns: its ufuncs run with
 ``out=``.  The Harper map, its inverse, the baker map and the classical
-walk's half-cell shift share one driver, ``_run_blocks``.  It cuts the flat
-points into one contiguous chunk per CPU it may use
-(``os.sched_getaffinity`` where the platform has it, else
-``os.cpu_count()``), but into no more chunks than there are whole blocks
-of ``2**15`` points, and runs the chunks at once through ``parallel_map``,
-since numpy's ufuncs release the GIL.  A chunk runs one block at a time
-through one scratch block, so for a 1-D or contiguous input no array of
-its size is made besides the results.  Each point's image depends on that
-point alone, so no bit of the result depends on the chunks.  The reduction
-mod 1 is ``x - floor(x)``, which is ``x % 1.0`` bit for bit (both round
-the same exact value); a second pass folds the 1.0 that a tiny negative x
-rounds to back to 0.
+walk's half-cell shift share one driver, ``_run_blocks``.  It hands the flat
+points to ``parallel_map`` as blocks of ``2**15`` points, whose threads run
+at once, since numpy's ufuncs release the GIL, each taking the next free
+block.  A block runs through a scratch block of its own, so for a 1-D or
+contiguous input no array of its size is made besides the results.  Each
+point's image depends on that point alone, so no bit of the result depends
+on the blocks or on the threads that ran them.  The reduction mod 1 is
+``x - floor(x)``, which is ``x % 1.0`` bit for bit (both round the same
+exact value); a second pass folds the 1.0 that a tiny negative x rounds to
+back to 0.
 
 ``parallel_map`` is the package's only source of threads (the CLI's sweep
-combinations run through it too).  Each call starts and joins its own, and
-the calls nested in its w threads share 1/w of its CPUs each, so no more
-threads than usable CPUs are ever alive.
+combinations run through it too).  Each call with more than one item starts
+and joins its own, one per further CPU it may use (``os.sched_getaffinity``
+where the platform has it, else ``os.cpu_count()``), and the calls nested
+in its w threads share 1/w of its CPUs each, so no more threads than usable
+CPUs are ever alive.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import collections
 import contextvars
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 
@@ -64,15 +64,16 @@ def parallel_map(fn, items) -> list:
     """``[fn(x) for x in items]`` in item order, on the calling thread plus up to one
     thread per further CPU it may use; the threads are this call's own, so calls may nest.
 
-    Each thread, the caller's included, takes the next item in order until none is
-    left or one has failed, and runs it in a copy of the caller's context
-    (``np.errstate`` carries over) with its share of the CPUs.  The first failure in
-    item order propagates once every thread has stopped.
+    Fewer than two items run inline without asking for the CPUs, and so do the items
+    of a call with one usable CPU.  Otherwise each thread, the caller's included, takes
+    the next item in order until none is left or one has failed, and runs it in a copy
+    of the caller's context (``np.errstate`` carries over) with its share of the CPUs.
+    The first failure in item order propagates once every thread has stopped.
     """
-    items, cpus = list(items), _usable_cpus()
+    items = list(items)
+    if len(items) < 2 or (cpus := _usable_cpus()) < 2:
+        return list(map(fn, items))
     workers = min(len(items), cpus) - 1
-    if workers < 1:
-        return [fn(x) for x in items]
     context = contextvars.copy_context()
     context.run(_cpu_share.set, cpus // (workers + 1))
     # the items in order, then one None for each thread to stop at
@@ -86,11 +87,14 @@ def parallel_map(fn, items) -> list:
             except BaseException as exc:
                 failures[job[0]] = exc
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        jobs = [pool.submit(context.copy().run, drain) for _ in range(workers)]
+    threads = [threading.Thread(target=context.copy().run, args=(drain,)) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    try:
         context.run(drain)
-        for job in jobs:
-            job.result()
+    finally:
+        for thread in threads:
+            thread.join()
     if failures:
         raise failures[min(failures)]
     return results
@@ -135,20 +139,13 @@ def _baker_kernel(q, p, q_out, p_out, step) -> None:
 
 
 def _run_blocks(n: int, dtype, run_block) -> None:
-    """``run_block(block, scratch)`` on each block, a slice of range(n), in chunks run through
-    ``parallel_map``; each chunk's blocks share one scratch block of ``dtype``."""
-    def run_chunk(lo: int, hi: int) -> None:
-        scratch = np.empty(min(_BLOCK, hi - lo), dtype)
-        for i in range(lo, hi, _BLOCK):
-            j = min(i + _BLOCK, hi)
-            run_block(slice(i, j), scratch[:j - i])
+    """``run_block(block, scratch)`` on each block, a slice of range(n) of at most ``_BLOCK``
+    points, through ``parallel_map``; each block gets a fresh scratch block of ``dtype``."""
+    def run(lo: int) -> None:
+        hi = min(lo + _BLOCK, n)
+        run_block(slice(lo, hi), np.empty(hi - lo, dtype))
 
-    blocks = n // _BLOCK
-    chunks = min(_usable_cpus(), blocks) if blocks > 1 else 1  # at least a block per chunk
-    if chunks == 1:  # on the calling thread, with no item list to build
-        return run_chunk(0, n)
-    bounds = [n * i // chunks for i in range(chunks + 1)]
-    parallel_map(lambda lo_hi: run_chunk(*lo_hi), zip(bounds, bounds[1:]))
+    parallel_map(run, range(0, n, _BLOCK))
 
 
 def _map_points(kernel, a, b, *consts):

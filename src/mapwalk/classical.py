@@ -14,9 +14,9 @@ four steps.  No boundary phase appears anywhere in this module: the
 phase is a purely quantum parameter.
 
 Evolution is vectorized over the ensemble and bitwise deterministic for
-a fixed seed.  Points are independent, so the cell maps' chunk driver
-steps them in concurrent chunks, bit for bit; it runs the half-cell shift
-too, block by block, so a step allocates only its three outputs.
+a fixed seed.  Points are independent, so the cell maps' block driver
+steps them in blocks on concurrent threads, bit for bit; it runs the
+half-cell shift too, so a step allocates only its three outputs.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
     def shift(block: slice, index: NDArray[np.int64]) -> None:
         np.greater_equal(coord[block], 0.5, out=index)
         index *= ens.L
-        index += ens.cells[block]
+        # any integer dtype of cells adds as int64; uint64 + int64 alone would promote to float
+        np.add(index, ens.cells[block], out=index, dtype=np.int64, casting="unsafe")
         neighbours.take(index, out=cells[block], mode="clip")
 
     _run_blocks(len(ens), np.int64, shift)

@@ -3,9 +3,11 @@
 import inspect
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,28 +254,13 @@ def test_chained_steps_bitwise_equal_reference():
     assert_bitwise((q, p), want)
 
 
-@pytest.fixture
-def chunk_sizes(monkeypatch):
-    """The chunk sizes that each ``parallel_map`` call of the point-map driver is given; a
-    lone chunk runs on the calling thread and makes no call."""
-    seen, run_chunks = [], cellmaps.parallel_map
-
-    def recording_parallel_map(fn, items):
-        items = list(items)
-        seen.append([hi - lo for lo, hi in items])
-        return run_chunks(fn, items)
-
-    monkeypatch.setattr(cellmaps, "parallel_map", recording_parallel_map)
-    return seen
-
-
-def test_chunked_equals_unchunked(monkeypatch, chunk_sizes):
-    # 2**17 + 3 points on 1, 2, 3 and 5 CPUs: uneven chunks and uneven blocks; with the
-    # default block the 4 whole blocks cap 5 CPUs at 4 chunks, with half that block they don't
+def test_chunked_equals_unchunked(monkeypatch, driver_calls):
+    # 2**17 + 3 points on 1, 2, 3 and 5 CPUs: a short last block, and with the default
+    # block 5 blocks for 5 CPUs, with half that block 9
     rng = np.random.default_rng(17)
     n = 2**17 + 3
     q, p = rng.random(n), rng.random(n)
-    p[::1000] = 1 - 2**-53  # baker's folded 1.0 in every chunk
+    p[::1000] = 1 - 2**-53  # baker's folded 1.0 in every block
     maps = [(harper_map, reference_harper, (2.3, 1.0)),
             (harper_inverse_map, reference_harper_inverse, (2.3, 1.0)),
             (baker_map, reference_baker, ())]
@@ -285,30 +272,34 @@ def test_chunked_equals_unchunked(monkeypatch, chunk_sizes):
             kernel(*args)
 
         monkeypatch.setattr(cellmaps, name, recording_kernel)
+    want_calls = []
     for block in (2**15, 2**14):
         monkeypatch.setattr(cellmaps, "_BLOCK", block)
+        starts = list(range(0, n, block))
         for cpus in (1, 2, 3, 5):
             monkeypatch.setattr(cellmaps, "_usable_cpus", lambda cpus=cpus: cpus)
             for (cell_map, _, args), want in zip(maps, wants):
                 assert_bitwise(cell_map(q, p, *args), want)
-    chunks = [1, 2, 3, 4] + [1, 2, 3, 5]
-    assert [len(sizes) for sizes in chunk_sizes] == [c for c in chunks for _ in maps if c > 1]
-    assert len(threads) > 1  # the chunks did run on more than one thread
+                want_calls.append((starts, starts, min(cpus, len(starts)) - 1))
+    # each block runs once, on the caller and one thread per further CPU it may use
+    assert driver_calls == want_calls
+    assert len(threads) > 1  # the blocks did run on more than one thread
 
 
-@pytest.mark.parametrize("n, cpus, chunks", [(0, 4, 1), (1, 4, 1), (2**15 - 1, 4, 1),
-                                             (2**15, 4, 1), (2**16 - 1, 4, 1), (2**16, 4, 2),
-                                             (2**17 + 3, 5, 4), (2**17 + 3, 3, 3),
-                                             (10**6, 2, 2)])
-def test_chunk_count_is_usable_cpus_capped_by_whole_blocks(monkeypatch, chunk_sizes, n, cpus,
-                                                           chunks):
+@pytest.mark.parametrize("n, cpus, threads", [(0, 4, 1), (1, 4, 1), (2**15 - 1, 4, 1),
+                                              (2**15, 4, 1), (2**16 - 1, 4, 2), (2**16, 4, 2),
+                                              (2**17 + 3, 5, 5), (2**17 + 3, 3, 3),
+                                              (10**6, 2, 2)])
+def test_chunk_count_is_usable_cpus_capped_by_whole_blocks(monkeypatch, driver_calls, n, cpus,
+                                                           threads):
+    # a call runs its ceil(n / _BLOCK) blocks once each, on as many threads as it has CPUs,
+    # capped by the blocks; a short last block counts as one
     monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: cpus)
     q = np.full(n, 0.25)
     harper_map(q, q, 2.0)
     baker_map(q, q)
-    assert [len(sizes) for sizes in chunk_sizes] == ([chunks] * 2 if chunks > 1 else [])
-    for sizes in chunk_sizes:
-        assert sum(sizes) == n and min(sizes) >= cellmaps._BLOCK
+    starts = list(range(0, n, cellmaps._BLOCK))
+    assert driver_calls == [(starts, starts, threads - 1)] * 2
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 3, 4)])
@@ -370,6 +361,30 @@ def test_parallel_map_without_workers_runs_inline(monkeypatch, cpus, items):
         return x, threading.get_ident()
 
     assert cellmaps.parallel_map(where, items) == [(x, caller) for x in items]
+
+
+def test_one_block_asks_for_no_cpus_and_starts_no_thread(monkeypatch):
+    # a single-item call runs inline before it would make the affinity call
+    def no_cpus():
+        raise AssertionError("asked for the usable CPUs")
+
+    monkeypatch.setattr(cellmaps, "_usable_cpus", no_cpus)
+    before = threading.active_count()
+    for n in (0, 1, 100, cellmaps._BLOCK):
+        q = np.full(n, 0.25)
+        assert_bitwise(harper_map(q, q, 2.0), reference_harper(q, q, 2.0, 1.0))
+        assert_bitwise(baker_map(q, q), reference_baker(q, q))
+    assert cellmaps.parallel_map(lambda x: -x, [3]) == [-3]
+    assert threading.active_count() == before
+
+
+def test_import_loads_no_executor():
+    env = {**os.environ, "PYTHONPATH": str(Path(cellmaps.__file__).parents[1])}
+    code = "import sys, mapwalk; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_parallel_map_raises_the_first_failure_in_item_order(monkeypatch):

@@ -312,8 +312,8 @@ _B = cellmaps._BLOCK
 
 @pytest.mark.parametrize("n", [1, _B - 1, _B, 2 * _B + 5, 2**17 + 3])
 @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
-def test_block_shift_equals_the_modular_rule(monkeypatch, n, orientation):
-    # the rotation map runs outside the chunk driver, so every parallel_map call is the
+def test_block_shift_equals_the_modular_rule(monkeypatch, driver_calls, n, orientation):
+    # the rotation map runs outside the block driver, so every parallel_map call is the
     # shift's; it maps (q, p) to (1 - p, q), so q = 1/2 (horizontal) and p = 1/2 (vertical)
     # put the partition coordinate exactly on the threshold
     L = 7
@@ -327,22 +327,28 @@ def test_block_shift_equals_the_modular_rule(monkeypatch, n, orientation):
     coord = p_out if orientation == "horizontal" else q_out
     want = (cells + np.where(coord >= 0.5, -1, 1)) % L
     assert want.dtype == np.int64 and (coord == 0.5).any()
-    chunk_counts, run_chunks = [], cellmaps.parallel_map
-
-    def recording_parallel_map(fn, items):
-        items = list(items)
-        chunk_counts.append(len(items))
-        return run_chunks(fn, items)
-
-    monkeypatch.setattr(cellmaps, "parallel_map", recording_parallel_map)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(cellmaps, "_usable_cpus", lambda cpus=cpus: cpus)
         stepped = multi_map_step(ens, CellMap("rotation"), CellPartition(orientation))
         assert stepped.cells.dtype == np.int64
         assert stepped.cells.tobytes() == want.tobytes(), cpus
-    # one chunk per usable CPU, capped by the whole blocks; a lone chunk makes no call
-    chunks = [min(cpus, n // _B) if n // _B > 1 else 1 for cpus in (1, 2, 3)]
-    assert chunk_counts == [c for c in chunks if c > 1]
+    # one call per step, which runs each of the ceil(n / _B) blocks once, on as many threads
+    # as it has CPUs, capped by the blocks
+    starts = list(range(0, n, _B))
+    assert driver_calls == [(starts, starts, min(cpus, len(starts)) - 1) for cpus in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int32])
+def test_any_integer_cells_step_like_int64(dtype):
+    # uint64 + int64 promotes to float64, which the int64 shift index cannot take in place
+    rng = np.random.default_rng(6)
+    n = 2 * _B + 5
+    ens = PhaseEnsemble(cells=rng.integers(0, 7, n), q=rng.random(n), p=rng.random(n), L=7)
+    want = multi_map_step(ens, CellMap("harper", g=2.0)).cells
+    cast = PhaseEnsemble(cells=ens.cells.astype(dtype), q=ens.q, p=ens.p, L=7)
+    got = multi_map_step(cast, CellMap("harper", g=2.0)).cells
+    assert got.dtype == np.int64 and want.dtype == np.int64
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -9,8 +9,11 @@ None of the maps takes a boundary-phase argument: the phase
 acts only on the quantum side, so its absence here is structural.
 
 Every map writes straight into the arrays it returns: its ufuncs run with
-``out=``.  The Harper map, its inverse, the baker map and the classical
-walk's half-cell shift share one driver, ``_run_blocks``.  It hands the flat
+``out=``.  ``rotation_map``, ``baker_map`` and ``harper_map`` return new
+arrays, or take ``out=(q_out, p_out)`` and write the image there, bit for bit
+the same; an output may be its own input, so a walk can step its ensemble in
+place.  The three maps, the Harper inverse and the classical walk's half-cell
+shift share one driver, ``_run_blocks``.  It hands the flat
 points to ``parallel_map`` as blocks of ``2**15`` points, whose threads run
 at once, since numpy's ufuncs release the GIL, each taking the next free
 block.  A block runs through a scratch block of its own, so for a 1-D or
@@ -122,6 +125,14 @@ def _harper_kernel(a, b, c1, c2, a_out, b_out, scratch) -> None:
     _mod1(b_out, scratch)
 
 
+def _rotation_kernel(q, p, q_out, p_out, scratch) -> None:
+    """The quarter turn: q_out = (1 - p) mod 1, p_out = q."""
+    np.subtract(1.0, p, out=scratch)
+    np.copyto(p_out, q)
+    np.copyto(q_out, scratch)
+    _mod1(q_out, scratch)
+
+
 def _baker_kernel(q, p, q_out, p_out, step) -> None:
     """The baker map through a step array that is 0 on the left half, bit for bit the
     branchwise values, with a p' of 1.0 folded to 0.0."""
@@ -148,49 +159,75 @@ def _run_blocks(n: int, dtype, run_block) -> None:
     parallel_map(run, range(0, n, _BLOCK))
 
 
-def _map_points(kernel, a, b, *consts):
-    """New arrays (a', b'): ``kernel(a, b, *consts, a_out, b_out, scratch)`` on every point
-    of the broadcast a, b, block by block through ``_run_blocks``."""
+def _check_out(out, a, b, dtype) -> None:
+    """Raise a ValueError unless ``out`` is a pair of writeable arrays of a's shape and
+    dtype ``dtype``, each 1-D or C-contiguous (so it flattens to a view of itself), that
+    share no memory with each other, and each of which holds either the very points of its
+    own input or no memory of either input.  A kernel reads a point's inputs before it
+    writes that point's image, so the blocks may then write into ``out`` in any order."""
+    if not (isinstance(out, tuple) and len(out) == 2):
+        raise ValueError(f"out: must be a pair of arrays, got {type(out).__name__}")
+    for x in out:
+        if not (isinstance(x, np.ndarray) and x.shape == a.shape and x.dtype == dtype
+                and x.flags.writeable and (x.ndim <= 1 or x.flags.c_contiguous)):
+            raise ValueError(f"out: must be writeable 1-D or C-contiguous arrays of shape "
+                             f"{a.shape} and dtype {dtype}")
+    a_out, b_out = out
+    clash = np.shares_memory(a_out, b_out)
+    for x_out, x, other in ((a_out, a, b), (b_out, b, a)):
+        clash = clash or np.shares_memory(x_out, other) or (
+            x_out is not x and np.shares_memory(x_out, x)
+            and not (x_out.strides == x.strides and x_out.ctypes.data == x.ctypes.data))
+    if clash:
+        raise ValueError("out: each array must be its own input or share no memory with "
+                         "the inputs or the other")
+
+
+def _map_points(kernel, a, b, *consts, out=None):
+    """(a', b'): ``kernel(a, b, *consts, a_out, b_out, scratch)`` on every point of the
+    broadcast a, b, block by block through ``_run_blocks``, into new arrays or into
+    ``out=(a_out, b_out)`` (see ``_check_out``)."""
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     dtype = np.result_type(a, b, 1.0)
-    out = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
-    # every shape runs flat; the fresh results flatten to views of themselves
+    if out is None:
+        out = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
+    else:
+        _check_out(out, a, b, dtype)
+    # every shape runs flat; the outputs flatten to views of themselves
     a, b, a_out, b_out = (x.reshape(-1) for x in (a, b, *out))
     _run_blocks(a.size, dtype, lambda s, tmp: kernel(a[s], b[s], *consts, a_out[s], b_out[s], tmp))
     return out
 
 
-def rotation_map(q, p):
+def rotation_map(q, p, *, out=None):
     """Rigid anti-clockwise quarter turn: (q, p) -> (1 - p, q) mod 1.
 
-    Returns a new array for 1 - p and ``q`` itself.
+    Returns new arrays, or writes into ``out=(q_out, p_out)``, which may be (q, p).
     """
-    p = np.asarray(p)
-    q_out = np.empty(p.shape, np.result_type(p, 1.0))
-    np.subtract(1.0, p, out=q_out)
-    _mod1(q_out, np.empty_like(q_out))
-    return q_out, q
+    return _map_points(_rotation_kernel, q, p, out=out)
 
 
-def baker_map(q, p):
+def baker_map(q, p, *, out=None):
     """Baker transformation: stretch in q, stack in p.
 
     (2q, p/2) on the left half q < 1/2, else (2q - 1, (p+1)/2); a p' that
-    rounds to 1.0 is returned as 0.0, the same torus point.
+    rounds to 1.0 is returned as 0.0, the same torus point.  Returns new
+    arrays, or writes into ``out=(q_out, p_out)``, which may be (q, p).
     """
-    return _map_points(_baker_kernel, q, p)
+    return _map_points(_baker_kernel, q, p, out=out)
 
 
-def harper_map(q, p, g, tau=1.0):
+def harper_map(q, p, g, tau=1.0, *, out=None):
     """Kicked Harper map: q' = q - tau sin(2 pi p), p' = p + tau g sin(2 pi q').
 
     Area preserving for every g; integrable at g = 0, essentially fully
     chaotic beyond g = 1 (at tau = 1).  Coordinates are kept reduced
-    mod 1, so the trigonometric arguments never grow.
+    mod 1, so the trigonometric arguments never grow.  Returns new arrays,
+    or writes into ``out=(q_out, p_out)``, which may be (q, p).
     """
-    return _map_points(_harper_kernel, q, p, tau, tau * g)
+    return _map_points(_harper_kernel, q, p, tau, tau * g, out=out)
 
 
 def harper_inverse_map(q, p, g, tau=1.0):

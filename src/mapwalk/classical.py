@@ -16,7 +16,10 @@ phase is a purely quantum parameter.
 Evolution is vectorized over the ensemble and bitwise deterministic for
 a fixed seed.  Points are independent, so the cell maps' block driver
 steps them in blocks on concurrent threads, bit for bit; it runs the
-half-cell shift too, so a step allocates only its three outputs.
+half-cell shift too, so a pure step allocates only its three outputs.
+Each point's image depends on that point alone, so a step may also write
+it over the point (``in_place=True``, the maps' ``out=``): a series steps
+the fill it owns in place and holds one ensemble, not two.
 """
 
 from __future__ import annotations
@@ -60,12 +63,13 @@ class CellMap:
             raise ValueError(f"kind: must be one of {', '.join(MAP_KINDS)}, got {self.kind!r}")
         _check_kick(self.g, self.tau)
 
-    def apply(self, q: NDArray[np.float64], p: NDArray[np.float64]):
+    def apply(self, q: NDArray[np.float64], p: NDArray[np.float64], *, out=None):
+        """The image (q', p'), new or written into ``out=(q_out, p_out)`` as the maps do."""
         if self.kind == "rotation":
-            return rotation_map(q, p)
+            return rotation_map(q, p, out=out)
         if self.kind == "baker":
-            return baker_map(q, p)
-        return harper_map(q, p, self.g, self.tau)
+            return baker_map(q, p, out=out)
+        return harper_map(q, p, self.g, self.tau, out=out)
 
 
 @dataclass(frozen=True)
@@ -160,19 +164,27 @@ class PhaseEnsemble:
 
 
 def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
-                   partition: CellPartition = CellPartition()) -> PhaseEnsemble:
+                   partition: CellPartition = CellPartition(), *,
+                   in_place: bool = False) -> PhaseEnsemble:
     """One multi-map step: intra-cell dynamics, then the half-cell shift.
 
-    Returns a new ensemble; ``ens`` is left as it was.
+    Returns a new ensemble; ``ens`` is left as it was.  With ``in_place=True``
+    the step maps into ``ens.q`` and ``ens.p`` and shifts into ``ens.cells``,
+    which must be a writeable int64 array, and returns those same arrays at
+    ``ens.time + 1``; ``ens`` then holds the stepped points at its old time.
     """
-    q, p = cell_map.apply(ens.q, ens.p)
+    if in_place and not (ens.cells.dtype == np.int64 and ens.cells.flags.writeable):
+        raise ValueError(f"cells: must be a writeable int64 array to step in place, "
+                         f"got dtype {ens.cells.dtype}")
+    q, p = cell_map.apply(ens.q, ens.p, out=(ens.q, ens.p) if in_place else None)
     coord = p if partition.orientation == "horizontal" else q
     # cell + 1 (lower half) or cell - 1 (upper half) from [right | left] neighbours; cells in
     # 0..L-1 keep every index in range, so mode "clip" can skip the default mode's buffer
     neighbours = (np.arange(2 * ens.L, dtype=np.int64) + np.repeat([1, -1], ens.L)) % ens.L
-    cells = np.empty(len(ens), np.int64)
+    cells = ens.cells if in_place else np.empty(len(ens), np.int64)
 
     def shift(block: slice, index: NDArray[np.int64]) -> None:
+        # the block's old cells are read into the index before its new cells are written
         np.greater_equal(coord[block], 0.5, out=index)
         index *= ens.L
         # any integer dtype of cells adds as int64; uint64 + int64 alone would promote to float
@@ -201,23 +213,21 @@ def phase_portrait(cell_map: CellMap, n_trajectories: int, n_steps: int,
     _check_count("n_steps", n_steps, 1)
     _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    q = rng.random(n_trajectories)
-    p = rng.random(n_trajectories)
     out = np.empty((n_steps, n_trajectories, 2))
-    for t in range(n_steps):
-        out[t, :, 0] = q
-        out[t, :, 1] = p
-        if t < n_steps - 1:
-            q, p = cell_map.apply(q, p)
+    out[0, :, 0] = rng.random(n_trajectories)  # q is drawn before p
+    out[0, :, 1] = rng.random(n_trajectories)
+    for t in range(n_steps - 1):  # each image goes straight into its own row
+        cell_map.apply(out[t, :, 0], out[t, :, 1], out=(out[t + 1, :, 0], out[t + 1, :, 1]))
     return out.reshape(n_steps * n_trajectories, 2)
 
 
 def _ensemble_distributions(ens: PhaseEnsemble, cell_map: CellMap,
                             partition: CellPartition) -> Iterator[SiteDistribution]:
-    """Distributions at t = 0, 1, 2, ... of the multi-map walk of ``ens``."""
+    """Distributions at t = 0, 1, 2, ... of the multi-map walk of ``ens``, which it steps in
+    place, so that the walk holds one ensemble; ``ens`` must be the caller's to overwrite."""
     while True:
         yield classical_site_distribution(ens)
-        ens = multi_map_step(ens, cell_map, partition)
+        ens = multi_map_step(ens, cell_map, partition, in_place=True)
 
 
 def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
@@ -229,7 +239,7 @@ def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
     statistics come from the same series loop as the quantum walk.
     """
     _check_count("t_max", t_max, 1)  # before the fill, which may be large
-    # the generator holds the only reference to each ensemble, freeing it once stepped
+    # the fill is the series' own, so the generator steps it in place
     dists = _ensemble_distributions(PhaseEnsemble.uniform_fill(L, n_points, seed=seed),
                                     cell_map, partition)
     return _time_series(dists, t_max, keep_distributions)

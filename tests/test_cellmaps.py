@@ -217,7 +217,7 @@ def assert_bitwise_any_nan(got, want):
 def test_rotation_and_baker_bitwise_equal_reference(points):
     q, p = (np.array(x) for x in zip(*points))
     assert_bitwise_any_nan(rotation_map(q, p), reference_rotation(q, p))
-    assert rotation_map(q, p)[1] is q
+    assert not np.shares_memory(rotation_map(q, p)[1], q)  # p' is a new array, not q
     assert_bitwise_any_nan(baker_map(q, p), reference_baker(q, p))
 
 
@@ -284,6 +284,75 @@ def test_chunked_equals_unchunked(monkeypatch, driver_calls):
     # each block runs once, on the caller and one thread per further CPU it may use
     assert driver_calls == want_calls
     assert len(threads) > 1  # the blocks did run on more than one thread
+
+
+def out_targets(kind, q, p):
+    """(q_in, p_in, out) for a map call that writes its image into ``out``: the inputs
+    themselves, fresh arrays, or the next strided rows of a portrait-like (2, n, 2) buffer."""
+    if kind == "inputs":
+        q, p = q.copy(), p.copy()
+        return q, p, (q, p)
+    if kind == "fresh":
+        return q, p, (np.empty_like(q), np.empty_like(p))
+    rows = np.empty((2, len(q), 2))
+    rows[0, :, 0], rows[0, :, 1] = q, p
+    return rows[0, :, 0], rows[0, :, 1], (rows[1, :, 0], rows[1, :, 1])
+
+
+OUT_MAPS = [pytest.param(rotation_map, (), id="rotation"), pytest.param(baker_map, (), id="baker"),
+            pytest.param(harper_map, (2.3, 0.7), id="harper")]
+
+
+@pytest.mark.parametrize("cell_map, args", OUT_MAPS)
+@pytest.mark.parametrize("kind", ["inputs", "fresh", "rows"])
+def test_out_image_equals_the_new_arrays(monkeypatch, cell_map, args, kind):
+    # three blocks, the edge grid at the front, NaN, baker's folded 1.0 and both thresholds
+    # in every block
+    rng = np.random.default_rng(23)
+    n = 2 * cellmaps._BLOCK + 5
+    q, p = rng.random(n), rng.random(n)
+    q[:EDGE.size**2], p[:EDGE.size**2] = (x.ravel() for x in np.meshgrid(EDGE, EDGE))
+    q[1000::7001], p[2000::7001] = np.nan, np.nan
+    p[3000::5003] = 1 - 2**-53
+    q[4000::3001], p[5000::3001] = 0.5, 0.5
+    want = cell_map(q, p, *args)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cellmaps, "_usable_cpus", lambda cpus=cpus: cpus)
+        q_in, p_in, out = out_targets(kind, q, p)
+        got = cell_map(q_in, p_in, *args, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert_bitwise(tuple(np.ascontiguousarray(x) for x in got), want)
+        if kind != "inputs":
+            assert_bitwise((q_in.copy(), p_in.copy()), (q, p))  # the inputs are left as they were
+
+
+@pytest.mark.parametrize("cell_map, args", OUT_MAPS)
+def test_out_keeps_scalar_and_nd_shapes(cell_map, args):
+    qq, pp = np.meshgrid(EDGE, EDGE)
+    out = np.empty_like(qq), np.empty_like(pp)
+    assert_bitwise(cell_map(qq, pp, *args, out=out), cell_map(qq, pp, *args))
+    out = np.empty(()), np.empty(())
+    assert_bitwise(cell_map(0.3, 0.75, *args, out=out), cell_map(0.3, 0.75, *args))
+
+
+def rejected_outs(base):
+    """Outputs a map of q = base[0, :8], p = base[1, :8] must refuse before it writes: each
+    would let one point's image overwrite another point's input, or cannot hold the image."""
+    q, p = base[0, :8], base[1, :8]
+    return {"swapped": (p, q), "one array twice": (q, q), "other input": (np.empty_like(q), q),
+            "shifted": (base[0, 1:], p), "float32": (q.astype(np.float32), p),
+            "shape": (q[:-1], p[:-1]), "read-only": (np.broadcast_to(0.0, q.shape), p),
+            "not contiguous": (np.empty((8, 16))[:, ::2], p), "one array": (q,)}
+
+
+@pytest.mark.parametrize("cell_map, args", OUT_MAPS)
+@pytest.mark.parametrize("case", list(rejected_outs(np.zeros((2, 9, 8)))))
+def test_out_that_would_clobber_an_input_is_rejected(cell_map, args, case):
+    base = np.random.default_rng(4).random((2, 9, 8))
+    before = base.copy()
+    with pytest.raises(ValueError, match="^out: "):
+        cell_map(base[0, :8], base[1, :8], *args, out=rejected_outs(base)[case])
+    assert base.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("n, cpus, threads", [(0, 4, 1), (1, 4, 1), (2**15 - 1, 4, 1),

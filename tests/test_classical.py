@@ -313,9 +313,8 @@ _B = cellmaps._BLOCK
 @pytest.mark.parametrize("n", [1, _B - 1, _B, 2 * _B + 5, 2**17 + 3])
 @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
 def test_block_shift_equals_the_modular_rule(monkeypatch, driver_calls, n, orientation):
-    # the rotation map runs outside the block driver, so every parallel_map call is the
-    # shift's; it maps (q, p) to (1 - p, q), so q = 1/2 (horizontal) and p = 1/2 (vertical)
-    # put the partition coordinate exactly on the threshold
+    # the rotation map maps (q, p) to (1 - p, q), so q = 1/2 (horizontal) and p = 1/2
+    # (vertical) put the partition coordinate exactly on the threshold
     L = 7
     rng = np.random.default_rng(n)
     q, p = rng.random(n), rng.random(n)
@@ -323,8 +322,7 @@ def test_block_shift_equals_the_modular_rule(monkeypatch, driver_calls, n, orien
     cells = rng.integers(0, L, n).astype(np.int32)
     cells[::2], cells[1::4] = 0, L - 1  # both ends of the ring, each with both halves
     ens = PhaseEnsemble(cells=cells, q=q, p=p, L=L)
-    q_out, p_out = CellMap("rotation").apply(q, p)
-    coord = p_out if orientation == "horizontal" else q_out
+    coord = q if orientation == "horizontal" else (1.0 - p) % 1.0  # p' or q', not driven
     want = (cells + np.where(coord >= 0.5, -1, 1)) % L
     assert want.dtype == np.int64 and (coord == 0.5).any()
     for cpus in (1, 2, 3):
@@ -332,10 +330,11 @@ def test_block_shift_equals_the_modular_rule(monkeypatch, driver_calls, n, orien
         stepped = multi_map_step(ens, CellMap("rotation"), CellPartition(orientation))
         assert stepped.cells.dtype == np.int64
         assert stepped.cells.tobytes() == want.tobytes(), cpus
-    # one call per step, which runs each of the ceil(n / _B) blocks once, on as many threads
-    # as it has CPUs, capped by the blocks
+    # two calls per step, the map's and the shift's, each of which runs each of the
+    # ceil(n / _B) blocks once, on as many threads as it has CPUs, capped by the blocks
     starts = list(range(0, n, _B))
-    assert driver_calls == [(starts, starts, min(cpus, len(starts)) - 1) for cpus in (1, 2, 3)]
+    assert driver_calls == [(starts, starts, min(cpus, len(starts)) - 1)
+                            for cpus in (1, 2, 3) for _ in range(2)]
 
 
 @pytest.mark.parametrize("dtype", [np.uint64, np.uint8, np.int32])
@@ -366,3 +365,48 @@ def test_step_allocates_only_its_outputs_and_a_few_blocks(monkeypatch, cpus):
     finally:
         tracemalloc.stop()
     assert peak < 24 * n + 4 * 8 * _B, (peak - 24 * n) / (8 * _B)
+
+
+@pytest.mark.parametrize("cell_map", [CellMap("harper", g=2.0), CellMap("baker"),
+                                      CellMap("rotation")])
+@pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_in_place_step_equals_the_pure_step(monkeypatch, cell_map, orientation, cpus):
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: cpus)
+    ens = PhaseEnsemble.uniform_fill(6, 2 * _B + 5, seed=8)
+    ens = multi_map_step(ens, CellMap("baker"))  # spread over the ring, both wraps occur
+    ens.q[::999], ens.p[1::999] = 0.5, 0.5  # on both thresholds
+    partition = CellPartition(orientation)
+    want = multi_map_step(ens, cell_map, partition)
+    arrays = ens.cells, ens.q, ens.p
+    got = multi_map_step(ens, cell_map, partition, in_place=True)
+    assert all(x is y for x, y in zip((got.cells, got.q, got.p), arrays))  # stepped
+    assert (ens.time, got.time) == (1, 2)
+    for x, y in zip((got.cells, got.q, got.p), (want.cells, want.q, want.p)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.uint8])
+def test_in_place_step_needs_int64_cells(dtype):
+    ens = PhaseEnsemble(cells=np.zeros(5, dtype), q=np.full(5, 0.25), p=np.full(5, 0.75), L=4)
+    with pytest.raises(ValueError, match="^cells: "):
+        multi_map_step(ens, CellMap("harper", g=2.0), in_place=True)
+    assert (ens.q == 0.25).all() and (ens.p == 0.75).all()  # nothing was mapped
+
+
+@pytest.mark.parametrize("kind", ["harper", "baker", "rotation"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_series_holds_one_ensemble(monkeypatch, kind, cpus):
+    # the fill takes 24 bytes a point (q, p and the cells) and the steps write over it; the
+    # map and the shift add one scratch block per running thread, freed before the next; a
+    # second ensemble would add 24 bytes a point
+    monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: cpus)
+    n, cell_map = 16 * _B, CellMap(kind, g=2.0 if kind == "harper" else 0.0)
+    classical_msd_series(cell_map, CellPartition(), L=10, t_max=1, n_points=1)  # imports np.random
+    tracemalloc.start()
+    try:
+        classical_msd_series(cell_map, CellPartition(), L=10, t_max=3, n_points=n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * n + 4 * 8 * _B, peak / n

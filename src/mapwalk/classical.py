@@ -169,13 +169,22 @@ def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
     """One multi-map step: intra-cell dynamics, then the half-cell shift.
 
     Returns a new ensemble; ``ens`` is left as it was.  With ``in_place=True``
-    the step maps into ``ens.q`` and ``ens.p`` and shifts into ``ens.cells``,
-    which must be a writeable int64 array, and returns those same arrays at
-    ``ens.time + 1``; ``ens`` then holds the stepped points at its old time.
+    the step maps into ``ens.q`` and ``ens.p``, which must be writeable arrays of one float
+    dtype that share no memory, and shifts into ``ens.cells``, which must be a writeable
+    int64 array, and returns those same arrays at ``ens.time + 1``; ``ens`` then holds the
+    stepped points at its old time.
     """
-    if in_place and not (ens.cells.dtype == np.int64 and ens.cells.flags.writeable):
-        raise ValueError(f"cells: must be a writeable int64 array to step in place, "
-                         f"got dtype {ens.cells.dtype}")
+    if in_place:
+        if not (ens.cells.dtype == np.int64 and ens.cells.flags.writeable):
+            raise ValueError(f"cells: must be a writeable int64 array to step in place, "
+                             f"got dtype {ens.cells.dtype}")
+        if not (ens.q.dtype == ens.p.dtype and ens.q.flags.writeable and ens.p.flags.writeable):
+            got = ", ".join(("" if x.flags.writeable else "read-only ") + str(x.dtype)
+                            for x in (ens.q, ens.p))
+            raise ValueError(f"q, p: must be writeable arrays of one float dtype to step in "
+                             f"place, got {got}")
+        if np.shares_memory(ens.q, ens.p):
+            raise ValueError("q, p: must share no memory to step in place")
     q, p = cell_map.apply(ens.q, ens.p, out=(ens.q, ens.p) if in_place else None)
     coord = p if partition.orientation == "horizontal" else q
     # cell + 1 (lower half) or cell - 1 (upper half) from [right | left] neighbours; cells in

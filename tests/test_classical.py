@@ -394,6 +394,35 @@ def test_in_place_step_needs_int64_cells(dtype):
     assert (ens.q == 0.25).all() and (ens.p == 0.75).all()  # nothing was mapped
 
 
+def _read_only(x):
+    x.setflags(write=False)
+    return x
+
+
+@pytest.mark.parametrize("q, p, got", [
+    (np.full(3, 0.25, np.float32), np.full(3, 0.75), "float32, float64"),
+    (np.full(3, 0.25), _read_only(np.full(3, 0.75)), "float64, read-only float64"),
+])
+def test_in_place_step_needs_writeable_q_and_p_of_one_dtype(q, p, got):
+    # the maps would write a float64 image into q and p: the error names them, not ``out``
+    ens = PhaseEnsemble(cells=np.zeros(3, np.int64), q=q, p=p, L=4)
+    with pytest.raises(ValueError) as info:
+        multi_map_step(ens, CellMap("harper", g=2.0), in_place=True)
+    assert str(info.value) == ("q, p: must be writeable arrays of one float dtype to step in "
+                               f"place, got {got}")
+    assert (ens.q == 0.25).all() and (ens.p == 0.75).all() and not ens.cells.any()
+    assert multi_map_step(ens, CellMap("harper", g=2.0)).q.dtype == np.float64  # pure: fine
+
+
+def test_in_place_step_needs_q_and_p_apart():
+    qp = np.full(3, 0.25)
+    ens = PhaseEnsemble(cells=np.zeros(3, np.int64), q=qp, p=qp, L=4)
+    with pytest.raises(ValueError) as info:
+        multi_map_step(ens, CellMap("baker"), in_place=True)
+    assert str(info.value) == "q, p: must share no memory to step in place"
+    assert (qp == 0.25).all() and not ens.cells.any()
+
+
 @pytest.mark.parametrize("kind", ["harper", "baker", "rotation"])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_series_holds_one_ensemble(monkeypatch, kind, cpus):

@@ -1,8 +1,13 @@
 """Tests for the site distribution and its summary statistics."""
 
+import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +240,78 @@ def test_unkept_series_keeps_memory_of_order_L():
         finally:
             tracemalloc.stop()
         assert peak < 10e6, (coin, L, peak)
+
+
+def _thp_always() -> bool:
+    """Whether Linux backs every anonymous mapping with transparent huge pages."""
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled", encoding="ascii") as fh:
+            return "[always]" in fh.read()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(importlib.util.find_spec("resource") is None, reason="needs getrusage")
+@pytest.mark.skipif(_thp_always(), reason="huge pages keep the whole matrix resident")
+def test_kept_series_is_resident_in_proportion_to_its_cone():
+    # the 301 x 65536 kept rows span 158 MB, but a row's window writes at most 2t + 1 of its
+    # sites, within a page or two at each end; only written pages become resident
+    code = """if True:
+        import resource, sys
+        from mapwalk.coins import CoinSpec
+        from mapwalk.observables import run_time_series
+        from mapwalk.walk import WalkConfig
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        series = run_time_series(WalkConfig(L=65536, coin=CoinSpec("dft", 2)), 300,
+                                 keep_distributions=True)
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(grown * (1 if sys.platform == "darwin" else 1024))  # macOS counts bytes
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(observables.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 32 * 2**20
+
+
+def test_unkept_series_holds_one_row():
+    # a series that keeps none scatters every step into one row and clears the window after the
+    # statistics, so it never holds two rows; the first run fills the caches (squared distances)
+    L = 2_000_000
+    config = WalkConfig(L=L, coin=CoinSpec("dft", 2))
+    run_time_series(config, 10)
+    tracemalloc.start()
+    try:
+        run_time_series(config, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * L, peak
+
+
+@st.composite
+def ring_and_time(draw):
+    """A ring size L, odd or even, and a time t up to three wraps of the light cone."""
+    L = draw(st.integers(2, 64))
+    return L, draw(st.integers(0, 3 * L))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=ring_and_time(), M=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
+@example(case=(7, 10), M=2, seed=0)  # the sites 4, 6 | 1, 3, 5 | 0, 2: it wraps twice
+def test_window_scatter_equals_the_index_scatter(case, M, seed):
+    L, t = case
+    n = min(t + 1, L // math.gcd(L, 2))
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((n, M, M)) + 1j * rng.standard_normal((n, M, M))
+    amps = psi.reshape(n, -1).view(np.float64)
+    want = np.zeros(L)
+    want[np.arange(-t, 2 * n - t, 2) % L] = np.einsum("ij,ij->i", amps, amps) / M
+    got = _bundle_site_probs(psi, t=t, L=L, out=np.zeros(L))
+    assert got.tobytes() == want.tobytes()
+    for sites, _ in observables._window_slices(L, t, n):  # an unkept series' clear
+        got[sites] = 0.0
+    assert not got.any()
 
 
 @st.composite
@@ -505,7 +582,7 @@ def test_window_probabilities_keep_each_site_apart_from_its_mirror(M, L, t):
     window /= np.sqrt(np.sum(np.abs(window) ** 2) / M)
     probs = np.zeros(L)
     probs[(2 * np.arange(rows) - t) % L] = (np.abs(window) ** 2).reshape(rows, -1).sum(axis=1) / M
-    got = _bundle_site_probs(window, t=t, L=L)
+    got = _bundle_site_probs(window, t=t, L=L, out=np.zeros(L))
     np.testing.assert_allclose(got, probs, rtol=0, atol=1e-15)
     assert np.count_nonzero(got) == rows
 

@@ -10,9 +10,10 @@ acts only on the quantum side, so its absence here is structural.
 
 Every map writes straight into the arrays it returns: its ufuncs run with
 ``out=``.  ``rotation_map``, ``baker_map`` and ``harper_map`` return new
-arrays, or take ``out=(q_out, p_out)`` and write the image there, bit for bit
-the same; an output may be its own input, so a walk can step its ensemble in
-place.  The three maps, the Harper inverse and the classical walk's half-cell
+arrays, or with ``in_place=True`` write the image over q and p themselves, bit
+for bit the same, so a walk can step its ensemble in place; one check, before
+any write, refuses q and p that cannot hold the image or share memory.
+The three maps, the Harper inverse and the classical walk's half-cell
 shift share one driver, ``_run_blocks``.  It hands the flat
 points to ``parallel_map`` as blocks of ``2**15`` points, whose threads run
 at once, since numpy's ufuncs release the GIL, each taking the next free
@@ -159,75 +160,68 @@ def _run_blocks(n: int, dtype, run_block) -> None:
     parallel_map(run, range(0, n, _BLOCK))
 
 
-def _check_out(out, a, b, dtype) -> None:
-    """Raise a ValueError unless ``out`` is a pair of writeable arrays of a's shape and
-    dtype ``dtype``, each 1-D or C-contiguous (so it flattens to a view of itself), that
-    share no memory with each other, and each of which holds either the very points of its
-    own input or no memory of either input.  A kernel reads a point's inputs before it
-    writes that point's image, so the blocks may then write into ``out`` in any order."""
-    if not (isinstance(out, tuple) and len(out) == 2):
-        raise ValueError(f"out: must be a pair of arrays, got {type(out).__name__}")
-    for x in out:
-        if not (isinstance(x, np.ndarray) and x.shape == a.shape and x.dtype == dtype
-                and x.flags.writeable and (x.ndim <= 1 or x.flags.c_contiguous)):
-            raise ValueError(f"out: must be writeable 1-D or C-contiguous arrays of shape "
-                             f"{a.shape} and dtype {dtype}")
-    a_out, b_out = out
-    clash = np.shares_memory(a_out, b_out)
-    for x_out, x, other in ((a_out, a, b), (b_out, b, a)):
-        clash = clash or np.shares_memory(x_out, other) or (
-            x_out is not x and np.shares_memory(x_out, x)
-            and not (x_out.strides == x.strides and x_out.ctypes.data == x.ctypes.data))
-    if clash:
-        raise ValueError("out: each array must be its own input or share no memory with "
-                         "the inputs or the other")
+def _check_in_place(q, p) -> None:
+    """Raise a ValueError naming q, p unless a map may write its image over them: writeable
+    arrays of the image's float dtype and of one shape, each 1-D or C-contiguous (so it
+    flattens to a view of itself), that share no memory."""
+    if not (isinstance(q, np.ndarray) and isinstance(p, np.ndarray)
+            and q.dtype == p.dtype == np.result_type(q, p, 1.0)
+            and q.flags.writeable and p.flags.writeable):
+        got = ", ".join(("" if x.flags.writeable else "read-only ") + str(x.dtype)
+                        if isinstance(x, np.ndarray) else type(x).__name__ for x in (q, p))
+        raise ValueError(f"q, p: must be writeable arrays of one float dtype to step in "
+                         f"place, got {got}")
+    if not (q.shape == p.shape and all(x.ndim <= 1 or x.flags.c_contiguous for x in (q, p))):
+        raise ValueError(f"q, p: must be 1-D or C-contiguous arrays of one shape to step in "
+                         f"place, got shapes {q.shape}, {p.shape}")
+    if np.shares_memory(q, p):
+        raise ValueError("q, p: must share no memory to step in place")
 
 
-def _map_points(kernel, a, b, *consts, out=None):
+def _map_points(kernel, a, b, *consts, in_place=False):
     """(a', b'): ``kernel(a, b, *consts, a_out, b_out, scratch)`` on every point of the
-    broadcast a, b, block by block through ``_run_blocks``, into new arrays or into
-    ``out=(a_out, b_out)`` (see ``_check_out``)."""
+    broadcast a, b, block by block through ``_run_blocks``, into new arrays, or with
+    ``in_place=True`` over a and b themselves (see ``_check_in_place``)."""
+    if in_place:
+        _check_in_place(a, b)
     a, b = np.asarray(a), np.asarray(b)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     dtype = np.result_type(a, b, 1.0)
-    if out is None:
-        out = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
-    else:
-        _check_out(out, a, b, dtype)
+    out = (a, b) if in_place else (np.empty(a.shape, dtype), np.empty(a.shape, dtype))
     # every shape runs flat; the outputs flatten to views of themselves
     a, b, a_out, b_out = (x.reshape(-1) for x in (a, b, *out))
     _run_blocks(a.size, dtype, lambda s, tmp: kernel(a[s], b[s], *consts, a_out[s], b_out[s], tmp))
     return out
 
 
-def rotation_map(q, p, *, out=None):
+def rotation_map(q, p, *, in_place=False):
     """Rigid anti-clockwise quarter turn: (q, p) -> (1 - p, q) mod 1.
 
-    Returns new arrays, or writes into ``out=(q_out, p_out)``, which may be (q, p).
+    Returns new arrays, or with ``in_place=True`` writes the image over q and p.
     """
-    return _map_points(_rotation_kernel, q, p, out=out)
+    return _map_points(_rotation_kernel, q, p, in_place=in_place)
 
 
-def baker_map(q, p, *, out=None):
+def baker_map(q, p, *, in_place=False):
     """Baker transformation: stretch in q, stack in p.
 
     (2q, p/2) on the left half q < 1/2, else (2q - 1, (p+1)/2); a p' that
     rounds to 1.0 is returned as 0.0, the same torus point.  Returns new
-    arrays, or writes into ``out=(q_out, p_out)``, which may be (q, p).
+    arrays, or with ``in_place=True`` writes the image over q and p.
     """
-    return _map_points(_baker_kernel, q, p, out=out)
+    return _map_points(_baker_kernel, q, p, in_place=in_place)
 
 
-def harper_map(q, p, g, tau=1.0, *, out=None):
+def harper_map(q, p, g, tau=1.0, *, in_place=False):
     """Kicked Harper map: q' = q - tau sin(2 pi p), p' = p + tau g sin(2 pi q').
 
     Area preserving for every g; integrable at g = 0, essentially fully
     chaotic beyond g = 1 (at tau = 1).  Coordinates are kept reduced
     mod 1, so the trigonometric arguments never grow.  Returns new arrays,
-    or writes into ``out=(q_out, p_out)``, which may be (q, p).
+    or with ``in_place=True`` writes the image over q and p.
     """
-    return _map_points(_harper_kernel, q, p, tau, tau * g, out=out)
+    return _map_points(_harper_kernel, q, p, tau, tau * g, in_place=in_place)
 
 
 def harper_inverse_map(q, p, g, tau=1.0):

@@ -18,14 +18,17 @@ a fixed seed.  Points are independent, so the cell maps' block driver
 steps them in blocks on concurrent threads, bit for bit; it runs the
 half-cell shift too, so a pure step allocates only its three outputs.
 Each point's image depends on that point alone, so a step may also write
-it over the point (``in_place=True``, the maps' ``out=``): a series steps
-the fill it owns in place and holds one ensemble, not two.
+it over the point (``in_place=True``, as the maps do): a series steps the
+fill it owns in place and holds one ensemble, checked once, when made.
+A float64 q holds 53 random bits, and each baker step shifts one out, so a
+baker series or portrait redraws q after every ``BAKER_REDRAW``-th step.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -48,6 +51,8 @@ __all__ = [
 ]
 
 MAP_KINDS = ("rotation", "baker", "harper")
+#: Baker steps between redraws of q (at most 52); q keeps at least 27 of its 53 random bits.
+BAKER_REDRAW = 26
 
 
 @dataclass(frozen=True)
@@ -63,13 +68,13 @@ class CellMap:
             raise ValueError(f"kind: must be one of {', '.join(MAP_KINDS)}, got {self.kind!r}")
         _check_kick(self.g, self.tau)
 
-    def apply(self, q: NDArray[np.float64], p: NDArray[np.float64], *, out=None):
-        """The image (q', p'), new or written into ``out=(q_out, p_out)`` as the maps do."""
+    def apply(self, q: NDArray[np.float64], p: NDArray[np.float64], *, in_place: bool = False):
+        """The image (q', p'), new or written over q and p (``in_place=True``) as the maps do."""
         if self.kind == "rotation":
-            return rotation_map(q, p, out=out)
+            return rotation_map(q, p, in_place=in_place)
         if self.kind == "baker":
-            return baker_map(q, p, out=out)
-        return harper_map(q, p, self.g, self.tau, out=out)
+            return baker_map(q, p, in_place=in_place)
+        return harper_map(q, p, self.g, self.tau, in_place=in_place)
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,6 @@ class PhaseEnsemble:
     q: NDArray[np.float64]
     p: NDArray[np.float64]
     L: int
-    time: int = 0
 
     def __post_init__(self) -> None:
         # the step and the cell count need 1-D arrays: the shift indexes by the cells,
@@ -168,24 +172,14 @@ def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
                    in_place: bool = False) -> PhaseEnsemble:
     """One multi-map step: intra-cell dynamics, then the half-cell shift.
 
-    Returns a new ensemble; ``ens`` is left as it was.  With ``in_place=True``
-    the step maps into ``ens.q`` and ``ens.p``, which must be writeable arrays of one float
-    dtype that share no memory, and shifts into ``ens.cells``, which must be a writeable
-    int64 array, and returns those same arrays at ``ens.time + 1``; ``ens`` then holds the
-    stepped points at its old time.
+    Returns a new ensemble; ``ens`` is left as it was.  With ``in_place=True`` the step
+    maps over ``ens.q`` and ``ens.p``, as the maps check them, and shifts into ``ens.cells``,
+    which must be a writeable int64 array, and returns ``ens`` itself.
     """
-    if in_place:
-        if not (ens.cells.dtype == np.int64 and ens.cells.flags.writeable):
-            raise ValueError(f"cells: must be a writeable int64 array to step in place, "
-                             f"got dtype {ens.cells.dtype}")
-        if not (ens.q.dtype == ens.p.dtype and ens.q.flags.writeable and ens.p.flags.writeable):
-            got = ", ".join(("" if x.flags.writeable else "read-only ") + str(x.dtype)
-                            for x in (ens.q, ens.p))
-            raise ValueError(f"q, p: must be writeable arrays of one float dtype to step in "
-                             f"place, got {got}")
-        if np.shares_memory(ens.q, ens.p):
-            raise ValueError("q, p: must share no memory to step in place")
-    q, p = cell_map.apply(ens.q, ens.p, out=(ens.q, ens.p) if in_place else None)
+    if in_place and not (ens.cells.dtype == np.int64 and ens.cells.flags.writeable):
+        raise ValueError(f"cells: must be a writeable int64 array to step in place, "
+                         f"got dtype {ens.cells.dtype}")
+    q, p = cell_map.apply(ens.q, ens.p, in_place=in_place)
     coord = p if partition.orientation == "horizontal" else q
     # cell + 1 (lower half) or cell - 1 (upper half) from [right | left] neighbours; cells in
     # 0..L-1 keep every index in range, so mode "clip" can skip the default mode's buffer
@@ -201,13 +195,13 @@ def multi_map_step(ens: PhaseEnsemble, cell_map: CellMap,
         neighbours.take(index, out=cells[block], mode="clip")
 
     _run_blocks(len(ens), np.int64, shift)
-    return replace(ens, cells=cells, q=q, p=p, time=ens.time + 1)
+    return ens if in_place else PhaseEnsemble(cells=cells, q=q, p=p, L=ens.L)
 
 
-def classical_site_distribution(ens: PhaseEnsemble) -> SiteDistribution:
-    """Fraction of ensemble points per cell, normalized by construction."""
+def classical_site_distribution(ens: PhaseEnsemble, time: int = 0) -> SiteDistribution:
+    """Fraction of ensemble points per cell at ``time``, normalized by construction."""
     counts = np.bincount(ens.cells, minlength=ens.L)
-    return SiteDistribution(L=ens.L, probs=counts / len(ens), time=ens.time)
+    return SiteDistribution(L=ens.L, probs=counts / len(ens), time=time)
 
 
 def phase_portrait(cell_map: CellMap, n_trajectories: int, n_steps: int,
@@ -216,7 +210,8 @@ def phase_portrait(cell_map: CellMap, n_trajectories: int, n_steps: int,
 
     Returns an (n_trajectories * n_steps, 2) array of visited (q, p)
     points, the initial condition included, deterministic for a fixed
-    seed.  Suitable for scatter plotting.
+    seed.  Suitable for scatter plotting.  A baker orbit's q is redrawn after every
+    ``BAKER_REDRAW``-th step, from the same generator after the initial points.
     """
     _check_count("n_trajectories", n_trajectories, 1)
     _check_count("n_steps", n_steps, 1)
@@ -225,18 +220,24 @@ def phase_portrait(cell_map: CellMap, n_trajectories: int, n_steps: int,
     out = np.empty((n_steps, n_trajectories, 2))
     out[0, :, 0] = rng.random(n_trajectories)  # q is drawn before p
     out[0, :, 1] = rng.random(n_trajectories)
-    for t in range(n_steps - 1):  # each image goes straight into its own row
-        cell_map.apply(out[t, :, 0], out[t, :, 1], out=(out[t + 1, :, 0], out[t + 1, :, 1]))
+    for t in range(1, n_steps):  # row t is row t - 1 stepped in place
+        out[t] = out[t - 1]
+        cell_map.apply(out[t, :, 0], out[t, :, 1], in_place=True)
+        if cell_map.kind == "baker" and t % BAKER_REDRAW == 0:
+            out[t, :, 0] = rng.random(n_trajectories)  # the rows are strided: no out=
     return out.reshape(n_steps * n_trajectories, 2)
 
 
-def _ensemble_distributions(ens: PhaseEnsemble, cell_map: CellMap,
-                            partition: CellPartition) -> Iterator[SiteDistribution]:
+def _ensemble_distributions(ens: PhaseEnsemble, cell_map: CellMap, partition: CellPartition,
+                            rng: np.random.Generator) -> Iterator[SiteDistribution]:
     """Distributions at t = 0, 1, 2, ... of the multi-map walk of ``ens``, which it steps in
-    place, so that the walk holds one ensemble; ``ens`` must be the caller's to overwrite."""
-    while True:
-        yield classical_site_distribution(ens)
-        ens = multi_map_step(ens, cell_map, partition, in_place=True)
+    place, so that the walk holds one ensemble; ``ens`` must be the caller's to overwrite.
+    A baker walk redraws q from ``rng`` after every ``BAKER_REDRAW``-th step."""
+    for t in itertools.count():
+        yield classical_site_distribution(ens, time=t)
+        multi_map_step(ens, cell_map, partition, in_place=True)
+        if cell_map.kind == "baker" and (t + 1) % BAKER_REDRAW == 0:
+            rng.random(out=ens.q)
 
 
 def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
@@ -248,7 +249,8 @@ def classical_msd_series(cell_map: CellMap, partition: CellPartition, L: int,
     statistics come from the same series loop as the quantum walk.
     """
     _check_count("t_max", t_max, 1)  # before the fill, which may be large
-    # the fill is the series' own, so the generator steps it in place
+    # the fill is the series' own, so the generator steps it in place; the baker's redraws
+    # come from a stream of the seed apart from the fill's
     dists = _ensemble_distributions(PhaseEnsemble.uniform_fill(L, n_points, seed=seed),
-                                    cell_map, partition)
+                                    cell_map, partition, np.random.default_rng([seed, 1]))
     return _time_series(dists, t_max, keep_distributions)

@@ -112,7 +112,8 @@ class WalkTimeSeries:
 @functools.lru_cache(maxsize=8)
 def _squared_distances(L: int) -> NDArray[np.float64]:
     """min(l, L - l)^2 for l = 0..L-1, read-only: the squared cyclic distance from site 0."""
-    d = np.minimum(np.arange(L), L - np.arange(L)).astype(float)
+    d = np.arange(L, dtype=np.float64)
+    np.subtract(L, d[L // 2 + 1:], out=d[L // 2 + 1:])  # L - l past the middle, exact
     d *= d
     d.setflags(write=False)
     return d

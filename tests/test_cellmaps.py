@@ -286,26 +286,24 @@ def test_chunked_equals_unchunked(monkeypatch, driver_calls):
     assert len(threads) > 1  # the blocks did run on more than one thread
 
 
-def out_targets(kind, q, p):
-    """(q_in, p_in, out) for a map call that writes its image into ``out``: the inputs
-    themselves, fresh arrays, or the next strided rows of a portrait-like (2, n, 2) buffer."""
+def in_place_targets(kind, q, p):
+    """Copies of q and p for a map to write its image over: plain arrays, or the strided
+    columns of a portrait-like (n, 2) row."""
     if kind == "inputs":
-        q, p = q.copy(), p.copy()
-        return q, p, (q, p)
-    if kind == "fresh":
-        return q, p, (np.empty_like(q), np.empty_like(p))
-    rows = np.empty((2, len(q), 2))
-    rows[0, :, 0], rows[0, :, 1] = q, p
-    return rows[0, :, 0], rows[0, :, 1], (rows[1, :, 0], rows[1, :, 1])
+        return q.copy(), p.copy()
+    row = np.empty((len(q), 2))
+    row[:, 0], row[:, 1] = q, p
+    return row[:, 0], row[:, 1]
 
 
-OUT_MAPS = [pytest.param(rotation_map, (), id="rotation"), pytest.param(baker_map, (), id="baker"),
-            pytest.param(harper_map, (2.3, 0.7), id="harper")]
+IN_PLACE_MAPS = [pytest.param(rotation_map, (), id="rotation"),
+                 pytest.param(baker_map, (), id="baker"),
+                 pytest.param(harper_map, (2.3, 0.7), id="harper")]
 
 
-@pytest.mark.parametrize("cell_map, args", OUT_MAPS)
-@pytest.mark.parametrize("kind", ["inputs", "fresh", "rows"])
-def test_out_image_equals_the_new_arrays(monkeypatch, cell_map, args, kind):
+@pytest.mark.parametrize("cell_map, args", IN_PLACE_MAPS)
+@pytest.mark.parametrize("kind", ["inputs", "rows"])
+def test_in_place_image_equals_the_new_arrays(monkeypatch, cell_map, args, kind):
     # three blocks, the edge grid at the front, NaN, baker's folded 1.0 and both thresholds
     # in every block
     rng = np.random.default_rng(23)
@@ -318,41 +316,44 @@ def test_out_image_equals_the_new_arrays(monkeypatch, cell_map, args, kind):
     want = cell_map(q, p, *args)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(cellmaps, "_usable_cpus", lambda cpus=cpus: cpus)
-        q_in, p_in, out = out_targets(kind, q, p)
-        got = cell_map(q_in, p_in, *args, out=out)
-        assert got[0] is out[0] and got[1] is out[1]
+        q_in, p_in = in_place_targets(kind, q, p)
+        got = cell_map(q_in, p_in, *args, in_place=True)
+        assert got[0] is q_in and got[1] is p_in
         assert_bitwise(tuple(np.ascontiguousarray(x) for x in got), want)
-        if kind != "inputs":
-            assert_bitwise((q_in.copy(), p_in.copy()), (q, p))  # the inputs are left as they were
 
 
-@pytest.mark.parametrize("cell_map, args", OUT_MAPS)
-def test_out_keeps_scalar_and_nd_shapes(cell_map, args):
+@pytest.mark.parametrize("cell_map, args", IN_PLACE_MAPS)
+def test_in_place_keeps_nd_shapes(cell_map, args):
     qq, pp = np.meshgrid(EDGE, EDGE)
-    out = np.empty_like(qq), np.empty_like(pp)
-    assert_bitwise(cell_map(qq, pp, *args, out=out), cell_map(qq, pp, *args))
-    out = np.empty(()), np.empty(())
-    assert_bitwise(cell_map(0.3, 0.75, *args, out=out), cell_map(0.3, 0.75, *args))
+    want = cell_map(qq, pp, *args)
+    for shape in ((16, 16), (2, 8, 16)):
+        got = cell_map(qq.reshape(shape).copy(), pp.reshape(shape).copy(), *args, in_place=True)
+        assert_bitwise(got, tuple(x.reshape(shape) for x in want))
+    assert_bitwise(cell_map(np.array(0.3), np.array(0.75), *args, in_place=True),
+                   cell_map(0.3, 0.75, *args))
 
 
-def rejected_outs(base):
-    """Outputs a map of q = base[0, :8], p = base[1, :8] must refuse before it writes: each
-    would let one point's image overwrite another point's input, or cannot hold the image."""
+def refused_in_place(base):
+    """(q, p) pairs near q = base[0, :8], p = base[1, :8] that a map must refuse to write its
+    image over: each cannot hold the image, or would let one point's image overwrite another
+    point's input."""
     q, p = base[0, :8], base[1, :8]
-    return {"swapped": (p, q), "one array twice": (q, q), "other input": (np.empty_like(q), q),
-            "shifted": (base[0, 1:], p), "float32": (q.astype(np.float32), p),
-            "shape": (q[:-1], p[:-1]), "read-only": (np.broadcast_to(0.0, q.shape), p),
-            "not contiguous": (np.empty((8, 16))[:, ::2], p), "one array": (q,)}
+    read_only = q.view()
+    read_only.setflags(write=False)
+    return {"scalar": (0.3, p), "read-only": (read_only, p), "mixed dtypes": (q.astype(np.float32), p),
+            "unequal shapes": (q[:-1], p), "not contiguous": (base[0, :, ::2], base[1, :, ::2]),
+            "one array twice": (q, q), "overlapping": (q, base[0, 1:])}
 
 
-@pytest.mark.parametrize("cell_map, args", OUT_MAPS)
-@pytest.mark.parametrize("case", list(rejected_outs(np.zeros((2, 9, 8)))))
-def test_out_that_would_clobber_an_input_is_rejected(cell_map, args, case):
+@pytest.mark.parametrize("cell_map, args", IN_PLACE_MAPS)
+@pytest.mark.parametrize("case", list(refused_in_place(np.zeros((2, 9, 8)))))
+def test_refused_in_place_input_raises_before_it_writes(cell_map, args, case):
     base = np.random.default_rng(4).random((2, 9, 8))
-    before = base.copy()
-    with pytest.raises(ValueError, match="^out: "):
-        cell_map(base[0, :8], base[1, :8], *args, out=rejected_outs(base)[case])
-    assert base.tobytes() == before.tobytes()
+    q, p = refused_in_place(base)[case]
+    before = base.copy(), np.copy(q), np.copy(p)
+    with pytest.raises(ValueError, match="^q, p: "):
+        cell_map(q, p, *args, in_place=True)
+    assert_bitwise((base, np.asarray(q), p), before)
 
 
 @pytest.mark.parametrize("n, cpus, threads", [(0, 4, 1), (1, 4, 1), (2**15 - 1, 4, 1),

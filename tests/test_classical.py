@@ -11,7 +11,7 @@ import pytest
 from mapwalk import cellmaps
 from mapwalk.cellmaps import baker_map
 from mapwalk.coins import CoinSpec
-from mapwalk.classical import (CellMap, CellPartition, PhaseEnsemble,
+from mapwalk.classical import (BAKER_REDRAW, CellMap, CellPartition, PhaseEnsemble,
                                classical_counterpart, multi_map_step,
                                classical_site_distribution, phase_portrait,
                                classical_msd_series)
@@ -41,7 +41,6 @@ def test_rotation_multi_map_period_four_bitwise():
     assert np.array_equal(ens.cells, ens0.cells)
     assert np.array_equal(ens.q, ens0.q)
     assert np.array_equal(ens.p, ens0.p)
-    assert ens.time == 4
 
 
 def test_baker_multi_map_single_point_hand_case():
@@ -299,7 +298,6 @@ def test_multi_map_step_leaves_input_unchanged(cell_map, orientation):
     stepped = multi_map_step(ens, cell_map, CellPartition(orientation))
     for a, b in zip((ens.cells, ens.q, ens.p), before):
         assert np.array_equal(a, b)
-    assert (ens.time, stepped.time) == (1, 2)
     # the shift equals the modular rule it replaces, wraps on both ends included
     q, p = cell_map.apply(ens.q, ens.p)
     coord = p if orientation == "horizontal" else q
@@ -380,8 +378,7 @@ def test_in_place_step_equals_the_pure_step(monkeypatch, cell_map, orientation, 
     want = multi_map_step(ens, cell_map, partition)
     arrays = ens.cells, ens.q, ens.p
     got = multi_map_step(ens, cell_map, partition, in_place=True)
-    assert all(x is y for x, y in zip((got.cells, got.q, got.p), arrays))  # stepped
-    assert (ens.time, got.time) == (1, 2)
+    assert got is ens and all(x is y for x, y in zip((got.cells, got.q, got.p), arrays))
     for x, y in zip((got.cells, got.q, got.p), (want.cells, want.q, want.p)):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
@@ -428,14 +425,63 @@ def test_in_place_step_needs_q_and_p_apart():
 def test_series_holds_one_ensemble(monkeypatch, kind, cpus):
     # the fill takes 24 bytes a point (q, p and the cells) and the steps write over it; the
     # map and the shift add one scratch block per running thread, freed before the next; a
-    # second ensemble would add 24 bytes a point
+    # second ensemble would add 24 bytes a point; the baker runs past its first redraw of q
     monkeypatch.setattr(cellmaps, "_usable_cpus", lambda: cpus)
     n, cell_map = 16 * _B, CellMap(kind, g=2.0 if kind == "harper" else 0.0)
+    t_max = BAKER_REDRAW + 1 if kind == "baker" else 3
     classical_msd_series(cell_map, CellPartition(), L=10, t_max=1, n_points=1)  # imports np.random
     tracemalloc.start()
     try:
-        classical_msd_series(cell_map, CellPartition(), L=10, t_max=3, n_points=n, seed=3)
+        classical_msd_series(cell_map, CellPartition(), L=10, t_max=t_max, n_points=n, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 24 * n + 4 * 8 * _B, peak / n
+
+
+@pytest.mark.parametrize("kind", ["harper", "baker", "rotation"])
+def test_series_constructs_one_ensemble(monkeypatch, kind):
+    # the fill is checked once; the in-place steps return it, and re-check nothing; the
+    # series gives each distribution its time
+    checks, check = [], PhaseEnsemble.__post_init__
+    monkeypatch.setattr(PhaseEnsemble, "__post_init__", lambda ens: checks.append(check(ens)))
+    series = classical_msd_series(CellMap(kind, g=2.0 if kind == "harper" else 0.0),
+                                  CellPartition(), L=10, t_max=BAKER_REDRAW + 2, n_points=100,
+                                  keep_distributions=True)
+    assert len(checks) == 1
+    assert [d.time for d in series.distributions] == list(range(BAKER_REDRAW + 3))
+
+
+@pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
+def test_baker_series_stays_a_bernoulli_walk_past_53_steps(orientation):
+    # each baker step doubles q, which holds 53 random bits: without the redraws of q every
+    # point shifts the same way from t = 53 on, and msd/t reads about 109 at t = 200; at 10^5
+    # points sampling noise alone gives a median total-variation distance of about 0.0074
+    t, L = 200, 402
+    series = classical_msd_series(CellMap("baker"), CellPartition(orientation), L=L, t_max=t,
+                                  n_points=100_000, seed=1, keep_distributions=True)
+    assert abs(series.msd[t] / t - 1.0) < 0.03
+    probs, pmf = series.distributions[t].probs, binomial_displacement_pmf(t)
+    tv = 0.5 * sum(abs(probs[d % L] - pmf.get(d, 0.0)) for d in range(-(L // 2), L - L // 2))
+    assert tv < 0.01
+
+
+def test_baker_portrait_redraws_q_after_every_redraw_step():
+    # the rows before the first redraw are the plain orbit; the redraws follow the initial
+    # q and p on the portrait's generator, and leave p as it is
+    K, n = BAKER_REDRAW, 5
+    pts = phase_portrait(CellMap("baker"), n, 2 * K + 2, seed=6).reshape(2 * K + 2, n, 2)
+    rng = np.random.default_rng(6)
+    q, p = rng.random(n), rng.random(n)
+    redraws = [rng.random(n), rng.random(n)]
+    for t in range(1, 2 * K + 2):
+        q, p = baker_map(q, p)
+        if t % K == 0:
+            q = redraws[t // K - 1]
+        assert pts[t].tobytes() == np.stack([q, p], axis=1).tobytes(), t
+
+
+def test_default_baker_portrait_has_no_point_at_q_zero():
+    # without the redraws of q, 94.8 % of these points would sit at q = 0 exactly
+    pts = phase_portrait(CellMap("baker"), 100, 1000)  # the phase-space command's defaults
+    assert not (pts[:, 0] == 0.0).any()

@@ -37,6 +37,9 @@ COMMANDS = {
                               "--format", "json"],
     "classical_baker.csv": ["run", "--classical", "baker", "--L", "20", "--t-max", "12",
                             "--n-points", "1000", "--seed", "1"],
+    "classical_baker_redrawn.csv": ["run", "--classical", "baker", "--L", "130", "--t-max", "60",
+                                    "--n-points", "2000", "--seed", "1",
+                                    "--partition", "vertical"],
     "classical_rotation.csv": ["run", "--classical", "rotation", "--L", "11", "--t-max", "8",
                                "--n-points", "200", "--seed", "7"],
     "classical_harper_dists.json": ["run", "--classical", "harper", "--g", "2", "--L", "10",

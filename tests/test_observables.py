@@ -289,6 +289,22 @@ def test_unkept_series_holds_one_row():
     assert peak < 1.5 * 8 * L, peak
 
 
+@pytest.mark.parametrize("L", [2, 3, 4, 7, 10, 1001, 2_000_000])
+def test_squared_distances_build_one_table(L):
+    # min(l, L - l)^2 bit for bit, built in the table itself; a build through integer
+    # temporaries and a float copy would peak at three tables or more
+    build = observables._squared_distances.__wrapped__  # the uncached build
+    tracemalloc.start()
+    try:
+        d = build(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.minimum(np.arange(L), L - np.arange(L)).astype(float) ** 2
+    assert d.tobytes() == want.tobytes() and not d.flags.writeable
+    assert peak < 1.5 * 8 * L + 4096, peak / (8 * L)
+
+
 @st.composite
 def ring_and_time(draw):
     """A ring size L, odd or even, and a time t up to three wraps of the light cone."""

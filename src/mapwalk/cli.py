@@ -26,10 +26,12 @@ Output is CSV or JSON with the parameters that apply to the run echoed in
 the metadata, and as ``ignored`` the names of those given that do not.  A
 swept parameter is echoed only by its values in ``sweep``, and is ignored
 at a base value given beside them.  Numbers carry full double precision so
-downstream comparisons stay exact.  Exit codes: 0 success, 2 configuration
-error, 1 runtime error (naming the swept values of a failing sweep
-combination).  Output files are written atomically; a failing run leaves
-no partial file.
+downstream comparisons stay exact.  Every setting is checked before the run
+starts: exit code 2 is a refused setting, ``out`` included (a directory, or a
+file in a directory that does not exist), with an ``error:`` naming the field;
+exit code 1 is a failure while running, with a ``runtime error:`` naming the
+swept values of a failing sweep combination; 0 is success.  Output files are
+written atomically; a failing run leaves no partial file.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ import re
 import shutil
 import sys
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from types import SimpleNamespace
 
 from .cellmaps import parallel_map
-from .coins import COIN_KINDS, CoinSpec, coin_matrix, coin_in_position_basis
+from .coins import COIN_KINDS, CoinSpec, _check_count, coin_matrix, coin_in_position_basis
 from .walk import WalkConfig
 from .observables import run_time_series, WalkTimeSeries
 from .classical import (MAP_KINDS, CellMap, CellPartition, phase_portrait,
@@ -61,14 +63,6 @@ COIN_USES = {"dft": ("M", "L"), "baker": ("M", "L", "phi"),
 MAP_USES = {"rotation": ("L",), "baker": ("L",), "harper": ("L", "g", "tau")}
 #: What ``--sweep`` takes, in the order its error text names them.
 SWEEPABLE = ("M", "L", "phi", "g")
-
-
-class ConfigError(Exception):
-    """Invalid configuration; message names the offending field."""
-
-
-class CombinationError(Exception):
-    """A sweep combination failed at run time; message names its swept values."""
 
 
 @dataclass(frozen=True)
@@ -133,14 +127,6 @@ PHASE_SPACE_FIELDS = (
 _BOOLS = {"true": True, "1": True, "false": False, "0": False}
 
 
-def _parse_value(f: Field, text: str):
-    if f.type is bool:
-        return _BOOLS[text.lower()]
-    if f.type is list:
-        return [_parse_sweep_expr(part) for part in text.split()]
-    return f.type(text)
-
-
 def _parse_config_file(path: str) -> dict:
     """Flat key = value file; keys are the flag names.  A '#' at the start of a
     line or after whitespace starts a comment; one inside a value is kept."""
@@ -149,23 +135,26 @@ def _parse_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"config: cannot read {path!r}: {exc}") from exc
+        raise ValueError(f"config: cannot read {path!r}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"config: line {lineno}: expected 'key = value', got {line!r}")
+            raise ValueError(f"config: line {lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         key = key.strip().replace("_", "-")
         val = val.strip()
         if key not in _RUN_FIELD:
-            raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
+            raise ValueError(f"config: line {lineno}: unknown key {key!r}")
+        f = _RUN_FIELD[key]
+        if f.type is list:  # a sweep's own errors name the sweep, not the line
+            values[key] = values.get(key, []) + [_parse_sweep_expr(e) for e in val.split()]
+            continue
         try:
-            value = _parse_value(_RUN_FIELD[key], val)
+            values[key] = _BOOLS[val.lower()] if f.type is bool else f.type(val)
         except (KeyError, ValueError) as exc:
-            raise ConfigError(f"config: line {lineno}: bad value for {key!r}: {val!r}") from exc
-        values[key] = values.get(key, []) + value if _RUN_FIELD[key].type is list else value
+            raise ValueError(f"config: line {lineno}: bad value for {key!r}: {val!r}") from exc
     return values
 
 
@@ -174,16 +163,16 @@ def _parse_sweep_expr(expr: str) -> tuple[str, list]:
     name, sep, vals = expr.partition("=")
     name = name.strip()
     if not sep or name not in SWEEPABLE:
-        raise ConfigError(f"sweep: expected NAME=v1,v2,... with NAME in {SWEEPABLE}, got {expr!r}")
+        raise ValueError(f"sweep: expected NAME=v1,v2,... with NAME in {SWEEPABLE}, got {expr!r}")
     try:
         values = [float(v) for v in vals.split(",") if v.strip()]
     except ValueError as exc:
-        raise ConfigError(f"sweep: non-numeric value in {expr!r}") from exc
+        raise ValueError(f"sweep: non-numeric value in {expr!r}") from exc
     if not values:
-        raise ConfigError(f"sweep: no values given in {expr!r}")
+        raise ValueError(f"sweep: no values given in {expr!r}")
     if _RUN_FIELD[name].type is int:
         if not all(v.is_integer() for v in values):
-            raise ConfigError(f"sweep: {name} values must be integers, got {expr!r}")
+            raise ValueError(f"sweep: {name} values must be integers, got {expr!r}")
         values = [int(v) for v in values]
     return name, sorted(values)
 
@@ -209,9 +198,9 @@ def _check_fields(fields: tuple[Field, ...], s: SimpleNamespace) -> None:
     for f in fields:
         value = getattr(s, f.attr)
         if f.choices and value is not None and value not in f.choices:
-            raise ConfigError(f"{f.name}: must be one of {', '.join(f.choices)}, got {value!r}")
-        if f.minimum is not None and value < f.minimum:
-            raise ConfigError(f"{f.name}: must be >= {f.minimum}, got {value}")
+            raise ValueError(f"{f.name}: must be one of {', '.join(f.choices)}, got {value!r}")
+        if f.minimum is not None:
+            _check_count(f.name, value, f.minimum)
 
 
 def _merge_settings(args: argparse.Namespace) -> SimpleNamespace:
@@ -241,21 +230,18 @@ def _validate_settings(s: SimpleNamespace) -> list[tuple]:
     uses = _applying(s)
     for name, values in s.sweep:
         if names.count(name) > 1:
-            raise ConfigError(f"sweep: parameter {name!r} swept more than once")
+            raise ValueError(f"sweep: parameter {name!r} swept more than once")
         if name not in uses:
             what = f"classical {s.classical} map" if s.classical else f"{s.coin} coin"
-            raise ConfigError(f"sweep: {name} does not apply to the {what}")
+            raise ValueError(f"sweep: {name} does not apply to the {what}")
         if len(set(values)) < len(values):
-            raise ConfigError(f"sweep: {name} values repeat")
+            raise ValueError(f"sweep: {name} values repeat")
     if s.emit_distributions and "L" in names:
-        raise ConfigError("sweep: cannot sweep L together with --emit-distributions "
-                          "(column count would vary)")
-    try:
-        return [(combo, r, CellMap(r.classical, g=r.g, tau=r.tau) if r.classical else
-                 WalkConfig(L=r.L, coin=CoinSpec(r.coin, M=r.M, g=r.g, tau=r.tau, phi=r.phi)))
-                for combo, r in zip(combos, records)]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("sweep: cannot sweep L together with --emit-distributions "
+                         "(column count would vary)")
+    return [(combo, r, CellMap(r.classical, g=r.g, tau=r.tau) if r.classical else
+             WalkConfig(L=r.L, coin=CoinSpec(r.coin, M=r.M, g=r.g, tau=r.tau, phi=r.phi)))
+            for combo, r in zip(combos, records)]
 
 
 def _single_series(r: SimpleNamespace, built: WalkConfig | CellMap) -> WalkTimeSeries:
@@ -302,9 +288,7 @@ def _series_rows(series: WalkTimeSeries, prefix: list) -> list[list]:
     return rows
 
 
-def _run_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list]]:
-    runs = _validate_settings(s)
-
+def _run_command(s: SimpleNamespace, runs: list[tuple]) -> tuple[dict, list[str], list[list]]:
     def series(run: tuple) -> WalkTimeSeries:
         combo, record, built = run
         try:
@@ -313,7 +297,7 @@ def _run_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list]]:
             if not s.sweep:
                 raise
             values = " ".join(f"{name}={v}" for (name, _), v in zip(s.sweep, combo))
-            raise CombinationError(f"{values}: {exc}") from exc
+            raise ValueError(f"{values}: {exc}") from exc
 
     results = parallel_map(series, runs)
     header = [name for name, _ in s.sweep] + ["time", "msd", "entropy", "pr"]
@@ -325,12 +309,7 @@ def _run_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list]]:
     return _resolved_params(s), header, rows
 
 
-def _phase_space_command(s: SimpleNamespace) -> tuple[dict, list[str], list[list]]:
-    _check_fields(PHASE_SPACE_FIELDS, s)
-    try:
-        cmap = CellMap(s.map, g=s.g, tau=s.tau)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _phase_space_command(s: SimpleNamespace, cmap: CellMap) -> tuple[dict, list[str], list[list]]:
     pts = phase_portrait(cmap, s.n_trajectories, s.n_steps, seed=s.seed)
     params = _echoed(PHASE_SPACE_FIELDS, s,
                      {"map", *MAP_USES[s.map], "n-trajectories", "n-steps", "seed"})
@@ -349,23 +328,19 @@ def _render_csv(params: dict, header: list[str], rows: list[list]) -> str:
 
 def _render_json(params: dict, header: list[str], rows: list[list]) -> str:
     """The text of ``json.dumps({"params": ..., "records": ...}, indent=1)`` for
-    rows of Python ints and floats, typed as the first row, without passing the
-    records through json."""
+    rows of Python ints and floats, typed as the first row; a table of finite
+    values is spelled without passing the records through json."""
+    if not all(map(math.isfinite, chain.from_iterable(rows))):  # json spells NaN, Infinity
+        records = [dict(zip(header, row)) for row in rows]
+        return json.dumps({"params": params, "records": records}, indent=1) + "\n"
     head = json.dumps({"params": params, "records": []}, indent=1)
     if not rows:
         return head + "\n"
     keys = [json.dumps(k).replace("%", "%%") for k in header]
-
-    def record(specs: list[str]) -> str:
-        return "  {\n" + ",\n".join(f"   {k}: {s}" for k, s in zip(keys, specs)) + "\n  }"
-
-    # %d and %r spell finite ints and floats as json does; a row with NaN or an
-    # infinity, which json spells NaN/Infinity, goes through json.dumps cell by cell
-    template = record([{int: "%d", float: "%r"}[type(x)] for x in rows[0]])
+    # %d and %r spell finite ints and floats as json does
+    specs = [{int: "%d", float: "%r"}[type(x)] for x in rows[0]]
+    template = "  {\n" + ",\n".join(f"   {k}: {s}" for k, s in zip(keys, specs)) + "\n  }"
     lines = [template % tuple(row) for row in rows]
-    for i, row in enumerate(rows):
-        if not math.isfinite(sum(row)):
-            lines[i] = record(["%s"] * len(row)) % tuple(map(json.dumps, row))
     return head[:-len("[]\n}")] + "[\n" + ",\n".join(lines) + "\n ]\n}\n"
 
 
@@ -419,19 +394,25 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "phase-space":
             s = _settings(PHASE_SPACE_FIELDS, args, {})
-            params, header, rows = _phase_space_command(s)
+            _check_fields(PHASE_SPACE_FIELDS, s)
+            command, checked = _phase_space_command, CellMap(s.map, g=s.g, tau=s.tau)
         else:
             s = _merge_settings(args)
             if args.command == "sweep" and not s.sweep:
-                raise ConfigError("sweep: the sweep subcommand needs at least one --sweep")
-            params, header, rows = _run_command(s)
+                raise ValueError("sweep: the sweep subcommand needs at least one --sweep")
+            command, checked = _run_command, _validate_settings(s)
+        target = os.path.realpath(s.out)  # as _emit resolves it
+        if s.out != "-" and (os.path.isdir(target) or not os.path.isdir(os.path.dirname(target))):
+            raise ValueError(f"out: must name a file in an existing directory, got {s.out!r}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        params, header, rows = command(s, checked)
         text = (_render_csv if s.format == "csv" else _render_json)(params, header, rows)
         _emit(text, s.out)
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (CombinationError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 

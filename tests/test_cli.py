@@ -8,13 +8,15 @@ import math
 import os
 import stat
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from mapwalk import cellmaps, cli, coins
+from mapwalk import (CellMap, CellPartition, CoinSpec, WalkConfig, build_dense, cellmaps,
+                     classical_msd_series, cli, coins, trace_site_probabilities)
 from mapwalk.cli import main
 
 #: coin = harper, M = 8, L = 14, g = 1.5, t-max = 5, sweep = phi=0,0.3
@@ -236,7 +238,7 @@ def test_invalid_field_exits_2_and_names_field(capsys):
     assert "phi" in err
 
 
-def test_bad_sweep_value_exits_2(capsys):
+def test_bad_sweep_value_exits_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "run", "--sweep", "M=3,4")
     assert code == 2
     assert "M" in err
@@ -247,6 +249,12 @@ def test_bad_sweep_value_exits_2(capsys):
         code, _, err = run_cli(capsys, "run", "--sweep", sweep)
         assert code == 2
         assert f"sweep: {sweep[0]}" in err
+    # a config file's sweep line is refused by the sweep's own text, not as a bad line
+    cfg = tmp_path / "walk.cfg"
+    cfg.write_text("sweep = M=2,x\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: sweep: non-numeric value in 'M=2,x'\n"
 
 
 def test_sweep_subcommand_requires_sweep(capsys):
@@ -267,6 +275,25 @@ def test_no_partial_file_on_config_error(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "run", "--M", "5", "--out", str(out_file))
     assert code == 2
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["phase-space", "--n-trajectories", "2", "--n-steps", "3"], "d"),
+    (["run", "--L", "10", "--t-max", "2"], "missing/d/x.csv"),
+])
+def test_out_that_names_no_file_in_a_directory_exits_2_before_the_run(tmp_path, capsys,
+                                                                      monkeypatch, argv, out):
+    # refused with the other settings: nothing runs, and no temporary file is made
+    (tmp_path / "d").mkdir()
+    path = str(tmp_path / out)
+    ran = []
+    monkeypatch.setattr(cli, "phase_portrait", lambda *args, **kwargs: ran.append(args))
+    monkeypatch.setattr(cli, "_single_series", lambda *args: ran.append(args))
+    code, stdout, err = run_cli(capsys, *argv, "--out", path)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: out: must name a file in an existing directory, got {path!r}\n"
+    assert ran == []
+    assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
 
 
 def test_output_file_written_atomically(tmp_path, capsys):
@@ -427,6 +454,145 @@ def test_flags_and_config_file_give_the_same_output(items):
         cfg.write_text("\n".join(lines) + "\n")
         from_file = cli_output(["run", "--config", str(cfg)])
     assert cli_output(["run", *flags]) == from_file
+
+
+#: What an ``error:`` may name: a field of either table, or the config file.
+ERROR_FIELDS = {f.name for f in cli.RUN_FIELDS + cli.PHASE_SPACE_FIELDS} | {"config"}
+#: Values a sweep takes, and one each refuses.
+SWEEP_VALUES = {"M": ["2", "4", "6"], "L": ["2", "5", "8", "11"], "g": ["0", "0.5", "2"],
+                "phi": ["0", "0.3", "0.7"]}
+SWEEP_REFUSED = {"M": "3", "L": "1", "g": "-1", "phi": "1"}
+
+
+@st.composite
+def cli_calls(draw):
+    """A subcommand, its flags as name -> text (None for a flag that takes no value, a
+    list of expressions for ``sweep``) and where ``out`` points: moderate values, with
+    a refused one about once in eight draws of each."""
+    def rarely():
+        return draw(st.integers(0, 7)) == 7
+
+    def pick(values, refused):
+        return refused if rarely() else draw(st.sampled_from(values))
+
+    command = draw(st.sampled_from(["run", "sweep", "phase-space"]))
+    flags = {"seed": pick(["0", "7"], "-1"), "g": pick(["0", "0.5", "2"], "-1"),
+             "tau": pick(["0.5", "1"], "0"), "format": draw(st.sampled_from(["csv", "json"]))}
+    out = pick(["-", "-", "file"], draw(st.sampled_from(["dir", "missing"])))
+    if command == "phase-space":
+        flags |= {"map": draw(st.sampled_from(cli.MAP_KINDS)),
+                  "n-trajectories": pick(["1", "3"], "0"), "n-steps": pick(["1", "8", "60"], "0")}
+        return command, flags, out
+    classical = draw(st.booleans())
+    L = 1 if rarely() else draw(st.integers(2, 16))
+    T = 0 if rarely() else draw(st.integers(1, 120 if classical else 3 * L + 3))
+    flags |= {"L": str(L), "t-max": str(T), "M": pick(["2", "4", "6", "8"], "3"),
+              "partition": draw(st.sampled_from(["horizontal", "vertical"]))}
+    if classical:
+        flags |= {"classical": draw(st.sampled_from(cli.MAP_KINDS)),
+                  "n-points": pick(["1", "40", "300"], "0")}
+        uses = cli.MAP_USES[flags["classical"]]
+    else:
+        flags["coin"] = draw(st.sampled_from(cli.COIN_KINDS))
+        uses = cli.COIN_USES[flags["coin"]] + ("phi",) * (flags["partition"] == "vertical")
+    if draw(st.booleans()):
+        flags["phi"] = pick(["0", "0.25"], "1")
+    if draw(st.booleans()):
+        flags["emit-distributions"] = None
+    # mostly parameters the run uses, each once, so that most sweeps run
+    sweepable = cli.SWEEPABLE if rarely() else [n for n in cli.SWEEPABLE if n in uses]
+    names = draw(st.lists(st.sampled_from(sweepable), min_size=command == "sweep",
+                          max_size=2, unique=not rarely()))
+    values = [draw(st.lists(st.sampled_from(SWEEP_VALUES[n]), min_size=1, max_size=3,
+                            unique=True)) + [SWEEP_REFUSED[n]] * rarely() for n in names]
+    flags["sweep"] = [f"{n}={','.join(v)}" for n, v in zip(names, values)]
+    return command, flags, out
+
+
+def cli_table(text, fmt):
+    """The records of a CSV or JSON table, each value as a float."""
+    if fmt == "json":
+        return [[float(v) for v in record.values()] for record in json.loads(text)["records"]]
+    return [[float(x) for x in line.split(",")] for line in text.splitlines()[2:]]
+
+
+def check_walk_rows(flags, rows):
+    """Rows of a run or sweep: one block of t-max + 1 per combination of swept values,
+    statistics in range, classical rows equal to the library's, and quantum
+    distributions equal to the trace oracle's on small walks."""
+    sweeps = [expr.split("=") for expr in flags["sweep"]]
+    combos = list(product(*(sorted(map(float, values.split(","))) for _, values in sweeps)))
+    T, k = int(flags["t-max"]), len(sweeps)
+    assert len(rows) == len(combos) * (T + 1)
+    for i, combo in enumerate(combos):
+        r = {**flags, "phi": flags.get("phi"), **{n: v for (n, _), v in zip(sweeps, combo)}}
+        L, M, g, tau = int(float(r["L"])), int(float(r["M"])), float(r["g"]), float(r["tau"])
+        own = rows[i * (T + 1):(i + 1) * (T + 1)]
+        assert all(row[:k] == list(combo) for row in own)
+        block = [row[k:] for row in own]
+        for t, (time, msd, entropy, pr, *_) in enumerate(block):
+            assert time == t
+            assert -1e-12 <= entropy <= 1 + 1e-12 and 1 / L - 1e-12 <= pr <= 1 + 1e-12
+            assert msd <= min(t, L / 2) ** 2 * (1 + 1e-12)
+        emit = "emit-distributions" in flags
+        if "classical" in flags:
+            series = classical_msd_series(
+                CellMap(flags["classical"], g=g, tau=tau),
+                CellPartition(orientation=flags["partition"]), L, T,
+                n_points=int(flags["n-points"]), seed=int(flags["seed"]),
+                keep_distributions=emit)
+            got = np.array(block)
+            assert np.array_equal(got[:, 1:4].T, [series.msd, series.entropy, series.pr])
+            if emit:
+                assert np.array_equal(got[:, 4:], [d.probs for d in series.distributions])
+            n = int(flags["n-points"])
+            if flags["classical"] == "baker" and n >= 40 and 2 * T < L:
+                # a Bernoulli walk, which no wrap has reached: msd(t) = t with variance
+                # (2t^2 - 2t)/n; every such draw is one of a few seeded runs
+                assert all(abs(msd - t) <= 5 * math.sqrt((2 * t * t - 2 * t) / n) + 1e-9
+                           for t, msd, *_ in block)
+        elif emit and L * M <= 64:
+            phi = None if r["phi"] is None else float(r["phi"])
+            coin = CoinSpec(flags["coin"], M=M, g=g, tau=tau, phi=phi)
+            U = coins.coin_matrix(coin)
+            if flags["partition"] == "vertical":
+                U = coins.coin_in_position_basis(U, coin.resolved_phi)
+            E = build_dense(WalkConfig(L=L, coin=coin), U)
+            for t, row in enumerate(block):
+                np.testing.assert_allclose(row[4:], trace_site_probabilities(E, L, M, t),
+                                           rtol=0, atol=1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=cli_calls())
+@example(call=("run", {"classical": "baker", "L": "130", "t-max": "60", "n-points": "300",
+                       "seed": "1", "g": "0", "tau": "1", "M": "2", "partition": "vertical",
+                       "format": "csv", "sweep": []}, "-"))
+def test_every_cli_call_runs_or_is_refused_by_a_named_field(call):
+    command, flags, out = call
+    argv = [command]
+    for name, value in flags.items():
+        for v in value if name == "sweep" else [value]:
+            argv += [f"--{name}"] + ([] if v is None else [v])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = {"-": "-", "file": f"{tmp}/out.txt", "dir": tmp,
+                "missing": f"{tmp}/missing/out.txt"}[out]
+        code, stdout, err = cli_output(argv + ["--out", path])
+        text = Path(path).read_text() if out == "file" and code == 0 else stdout
+        made = sorted(os.listdir(tmp))
+    if code == 2:
+        assert stdout == "" and made == [], argv
+        field = err.removeprefix("error: ").split(":")[0]
+        assert err.startswith("error: ") and set(field.split("*")) <= ERROR_FIELDS, (argv, err)
+        return
+    assert (code, err) == (0, ""), argv
+    assert made == (["out.txt"] if out == "file" else []), argv
+    rows = cli_table(text, flags["format"])
+    if command == "phase-space":
+        assert len(rows) == int(flags["n-trajectories"]) * int(flags["n-steps"])
+        assert all(0.0 <= x < 1.0 for row in rows for x in row)
+    else:
+        check_walk_rows(flags, rows)
 
 
 def test_config_value_outside_choices_exits_2(tmp_path, capsys):

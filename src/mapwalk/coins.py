@@ -4,10 +4,11 @@
 matrix in the coin basis {|0>, ..., |M-1>}.  The three families are the
 discrete Fourier coin (Hadamard at M=2; classically a quarter-turn of the
 cell), the kicked Harper propagator quantized with h = 1/M, whose chaos
-parameter ``g`` takes the cell from integrable to chaotic, and the quantized
-baker.  ``CoinSpec`` checks the parameters; ``coin_matrix`` checks unitarity
-of its result to 1e-10 in max-entry norm and marks it read-only, so it can be
-shared freely across concurrent workers.
+parameter ``g`` takes the cell from integrable to chaotic (its kick sum is one
+FFT; the tests hold it to the direct sum), and the quantized baker.
+``CoinSpec`` checks the parameters; ``coin_matrix`` checks unitarity of its
+result to 1e-10 in max-entry norm and marks it read-only, so it can be shared
+freely across concurrent workers.
 """
 
 from __future__ import annotations
@@ -125,8 +126,7 @@ def _unitary(U: NDArray[np.complex128], what: str = "coin matrix") -> NDArray[np
     return U
 
 
-def _harper_matrix(M: int, g: float, tau: float, phi: float,
-                   method: str = "fft") -> NDArray[np.complex128]:
+def _harper_matrix(M: int, g: float, tau: float, phi: float) -> NDArray[np.complex128]:
     """Harper propagator matrix in the coin momentum basis, any M >= 1.
 
     Matrix elements, with h = 1/M:
@@ -135,25 +135,17 @@ def _harper_matrix(M: int, g: float, tau: float, phi: float,
                      * (1/M) sum_c exp(-i tau g M cos(2 pi (c+phi)/M))
                                   * exp(2 pi i (c+phi)(b-a)/M)
 
-    ``method="direct"`` evaluates the sum through the explicit
-    position<->momentum transformation matrices; ``method="fft"``
-    evaluates it as a phase-twisted circular convolution in O(M log M).
-    Both agree to well below 1e-10.
+    The sum is a phase-twisted circular convolution, evaluated by one FFT in O(M log M).
     """
     cells = np.arange(M) + phi
     kick = np.exp(-1j * tau * g * M * np.cos(2 * np.pi * cells / M))
     kinetic = np.exp(-1j * tau * M * np.cos(2 * np.pi * cells / M))
-    if method == "direct":
-        # F[c, a] = <c|a>: position eigenket overlap with momentum state.
-        F = np.exp(2j * np.pi * np.outer(cells, np.arange(M) + phi) / M) / np.sqrt(M)
-        kernel = F.conj().T @ (kick[:, None] * F)
-    else:
-        # kernel[a, b] = e^{2 pi i phi (b-a)/M} * c_{(b-a) mod M} with
-        # c_d = (1/M) sum_c kick[c] e^{2 pi i c d / M} = ifft(kick)[d].
-        conv = np.fft.ifft(kick)
-        idx = np.arange(M)
-        diff = idx[None, :] - idx[:, None]
-        kernel = np.exp(2j * np.pi * phi * diff / M) * conv[diff % M]
+    # kernel[a, b] = e^{2 pi i phi (b-a)/M} * c_{(b-a) mod M} with
+    # c_d = (1/M) sum_c kick[c] e^{2 pi i c d / M} = ifft(kick)[d].
+    conv = np.fft.ifft(kick)
+    idx = np.arange(M)
+    diff = idx[None, :] - idx[:, None]
+    kernel = np.exp(2j * np.pi * phi * diff / M) * conv[diff % M]
     return kernel * kinetic[None, :]
 
 

@@ -30,8 +30,7 @@ pages are zero-filled on demand, so it is resident in proportion to the cone,
 not the ring (dft M=2, L=100003, t_max=200: 4 MB of its 160 MB), unless
 transparent huge pages are set to "always".  A series that keeps none reuses
 one row.
-``site_probabilities`` takes the matrix power E_k^t of the blocks of all L
-momenta k and inverse-transforms it: the block oracle.
+``trace_site_probabilities`` evaluates the trace form by dense matrix algebra: an oracle.
 The reduction order is fixed, so repeated runs are bit-identical.
 Classical ensembles share the loop.
 """
@@ -48,12 +47,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .coins import coin_matrix, _check_count
-from .walk import WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks, _block_stack
+from .walk import WalkConfig, MomentumBlockSet, build_momentum_blocks, _apply_blocks
 
 __all__ = [
     "SiteDistribution",
     "WalkTimeSeries",
-    "site_probabilities",
     "msd",
     "site_entropy",
     "participation_ratio",
@@ -76,6 +74,7 @@ class SiteDistribution:
     time: int = 0
 
     def __post_init__(self) -> None:
+        _check_count("L", self.L, 2)
         if not isinstance(self.probs, np.ndarray):
             raise ValueError(f"probs: must be a numpy array, got {type(self.probs).__name__}")
         if self.probs.shape != (self.L,):
@@ -160,25 +159,6 @@ def _bundle_site_probs(psi: NDArray[np.complex128], *, t: int, L: int,
     for sites, rows in _window_slices(L, t, n):
         out[sites] = window[rows]
     return out
-
-
-def _momentum_site_probs(psi: NDArray[np.complex128], *, t: int, L: int) -> NDArray[np.float64]:
-    """Coin-averaged site probabilities at time t of the stack E_k^t (L, M, M) of all L momenta,
-    inverse-transformed in full (with its 1/L, into <l, a|E^t|0, b>); its sites outside -t..t,
-    where the walk cannot be, are 0."""
-    amps = np.fft.ifft(psi.reshape(L, -1), axis=0).view(np.float64)
-    probs = np.einsum("ij,ij->i", amps, amps) / psi.shape[1]
-    probs[t + 1:L - t] = 0.0
-    return probs
-
-
-def site_probabilities(blocks: MomentumBlockSet, t: int) -> SiteDistribution:
-    """Distribution p_l(t) of the M coin-basis starts from the powers E_k^t (the oracle).
-    ``np.linalg.matrix_power`` holds about four (L, M, M) stacks at its peak: about
-    105 MB at M=64, L=400 and 2.6 GB at M=64, L=10**4."""
-    _check_count("t", t, 0)
-    psi = np.linalg.matrix_power(_block_stack(blocks), t)
-    return SiteDistribution(L=blocks.L, probs=_momentum_site_probs(psi, t=t, L=blocks.L), time=t)
 
 
 def _time_series(dists: Iterator[SiteDistribution], t_max: int,

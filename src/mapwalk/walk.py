@@ -10,25 +10,21 @@ Two equivalent operator representations are built:
 
 - ``build_dense``: the full (L*M) x (L*M) unitary, with the composite
   index convention ``site * M + coin``.  Exact but O((LM)^2) per step;
-  used as the oracle and for small instances.
+  used as an oracle and for small instances.
 - ``build_momentum_blocks``: the lattice momentum is conserved, so the
   same operator decomposes into L independent M x M blocks
   E_k = D_k U, where D_k carries phases exp(+-2*pi*i*k/L).  Every block
   shares U, so the set is the checked U and L, and a run builds nothing of
-  size L*M.  Only the block oracle builds the (L, M, M) stack of the E_k,
-  ``_block_stack``, and takes its matrix power, as the dense oracle does E's.
+  size L*M.
 
 A walk released from site 0 can be only on the min(t + 1, R) sites -t + 2j
 mod L at time t, R = L // gcd(L, 2): its light cone.  ``_apply_blocks`` steps
 that window in position space by U^T and a one-row shift of each coin half,
 with no phases and no FFT; once the cone wraps, the window cycles on the ring.
 
-The lattice Fourier convention is <n|k> = exp(2*pi*i*n*k/L)/sqrt(L); the
-block phases are fixed by requiring exact agreement with the dense
-operator under that convention (the phase on the left-shifted rows is
-e^{+2*pi*i*k/L}).  ``momentum_to_site`` applies it to normalized momentum
-states; the tests use it as an oracle.  The block oracle keeps the
-unnormalized E_k^t and leaves the site transform to ``observables``.
+The lattice Fourier convention is <n|k> = exp(2*pi*i*n*k/L)/sqrt(L); under
+it the phase on the left-shifted rows is e^{+2*pi*i*k/L}.  The block oracle,
+the stack of the E_k and its matrix power, lives with the tests.
 
 All operators are pure data; block evolution touches no shared mutable
 state, so blocks may be processed concurrently.
@@ -49,7 +45,6 @@ __all__ = [
     "MomentumBlockSet",
     "build_dense",
     "build_momentum_blocks",
-    "momentum_to_site",
 ]
 
 
@@ -69,11 +64,6 @@ class WalkConfig:
         return self.coin.M
 
 
-def _left_rows(M: int) -> NDArray[np.bool_]:
-    """True on the coin rows 0..M/2-1, which shift to the left neighbour; M/2..M-1 shift right."""
-    return np.arange(M) < M // 2
-
-
 @dataclass(frozen=True)
 class MomentumBlockSet:
     """The L unitary M x M blocks E_k = D_k U of the walk operator, kept as the checked
@@ -88,7 +78,7 @@ class MomentumBlockSet:
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """(L, M, M), the operator stack the set stands for; only ``_block_stack`` builds it.
+        """(L, M, M), the operator stack the set stands for; only the block oracle builds it.
         perfbench's step count reads it as 8*L*M^2*S flop for S rows per sector, all L momenta;
         a step of the light-cone window at time t does 8*min(t + 1, ring_rows)*M^2*S."""
         return (self.L, self.M, self.M)
@@ -97,11 +87,6 @@ class MomentumBlockSet:
     def ring_rows(self) -> int:
         """L // gcd(L, 2), the sites a walk from site 0 can be on at once after its cone wraps."""
         return self.L // math.gcd(self.L, 2)
-
-
-def momentum_to_site(psi: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Inverse lattice Fourier transform along axis 0: psi(k) -> psi(n), unitary."""
-    return np.fft.ifft(psi, axis=0) * np.sqrt(psi.shape[0])
 
 
 def _check_coin_dim(config: WalkConfig, U: NDArray[np.complex128]) -> None:
@@ -117,7 +102,8 @@ def build_dense(config: WalkConfig, U: NDArray[np.complex128]) -> NDArray[np.com
     at (site n+1, site n) the right-shifted rows, cyclically in n.
     """
     _check_coin_dim(config, U)
-    L, M, left = config.L, config.M, _left_rows(config.M)
+    L, M = config.L, config.M
+    left = np.arange(M) < M // 2  # coin rows 0..M/2-1 shift left, the rest right
     E = np.zeros((L * M, L * M), dtype=np.complex128)
     for n in range(L):
         dst_left = ((n - 1) % L) * M
@@ -126,14 +112,6 @@ def build_dense(config: WalkConfig, U: NDArray[np.complex128]) -> NDArray[np.com
         E[dst_left:dst_left + M, col:col + M][left] = U[left]
         E[dst_right:dst_right + M, col:col + M][~left] = U[~left]
     return _unitary(E, "walk operator")
-
-
-def _block_stack(blocks: MomentumBlockSet) -> NDArray[np.complex128]:
-    """The (L, M, M) stack of the blocks E_k = D_k U, for the block oracle: D_k is
-    e^{+2*pi*i*k/L} on the left-shifted coin rows and e^{-2*pi*i*k/L} on the rest."""
-    signs = np.where(_left_rows(blocks.M), 1.0, -1.0)
-    phases = np.exp(2j * np.pi * np.outer(np.arange(blocks.L), signs) / blocks.L)
-    return phases[:, :, None] * blocks.coin
 
 
 def build_momentum_blocks(config: WalkConfig, U: NDArray[np.complex128]) -> MomentumBlockSet:

@@ -11,9 +11,9 @@ import numpy as np
 
 from mapwalk import cellmaps, classical
 from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix, unitarity_defect
-from mapwalk.walk import WalkConfig, build_dense, build_momentum_blocks, momentum_to_site
-from mapwalk.observables import (site_probabilities, run_time_series,
-                                 trace_site_probabilities)
+from mapwalk.walk import WalkConfig, build_dense, build_momentum_blocks
+from mapwalk.observables import run_time_series, trace_site_probabilities
+from oracles import momentum_to_site, site_probabilities
 from mapwalk.classical import (CellMap, CellPartition, PhaseEnsemble,
                                classical_counterpart, multi_map_step,
                                classical_site_distribution, phase_portrait,

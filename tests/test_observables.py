@@ -17,13 +17,11 @@ from mapwalk import observables
 from mapwalk.classical import (CellMap, CellPartition, PhaseEnsemble, classical_msd_series,
                                phase_portrait)
 from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix, twisted_dft
-from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, momentum_to_site,
-                          _apply_blocks, _block_stack)
-from mapwalk.observables import (SiteDistribution, WalkTimeSeries,
-                                 site_probabilities, msd, site_entropy,
+from mapwalk.walk import WalkConfig, build_dense, build_momentum_blocks, _apply_blocks
+from mapwalk.observables import (SiteDistribution, WalkTimeSeries, msd, site_entropy,
                                  participation_ratio, run_time_series,
-                                 trace_site_probabilities, _bundle_site_probs,
-                                 _momentum_site_probs)
+                                 trace_site_probabilities, _bundle_site_probs)
+from oracles import block_stack, momentum_site_probs, momentum_to_site, site_probabilities
 
 TOL = 1e-10
 
@@ -122,7 +120,7 @@ def test_coin_basis_independence_of_distribution():
     V = V * np.exp(-1j * np.angle(np.diag(r)))[None, :]
 
     reference = site_probabilities(blocks, 8).probs
-    psi = np.linalg.matrix_power(_block_stack(blocks), 8) @ (V / np.sqrt(L))  # columns: starts
+    psi = np.linalg.matrix_power(block_stack(blocks), 8) @ (V / np.sqrt(L))  # columns: starts
     rotated = (np.abs(momentum_to_site(psi)) ** 2).sum(axis=(1, 2)) / 4
     np.testing.assert_allclose(rotated, reference, atol=TOL)
 
@@ -491,6 +489,7 @@ _HARPER = CellMap("harper", g=1.0)
     (lambda: PhaseEnsemble.uniform_fill(4, 10, seed=1.5), "seed: must be an integer, got 1.5"),
     (lambda: PhaseEnsemble.grid_fill(4, 2.0), "side: must be an integer, got 2.0"),
     (lambda: phase_portrait(_HARPER, 3, 3, seed=1.5), "seed: must be an integer, got 1.5"),
+    (lambda: SiteDistribution(L=4.0, probs=np.full(4, 0.25)), "L: must be an integer, got 4.0"),
     (lambda: WalkConfig(L=1, coin=CoinSpec("dft", 2)), "L: must be >= 2, got 1"),
     (lambda: CoinSpec("harper", 0), "M: must be >= 2, got 0"),
     (lambda: _one_point(1), "L: must be >= 2, got 1"),
@@ -508,16 +507,18 @@ _HARPER = CellMap("harper", g=1.0)
     (lambda: PhaseEnsemble.grid_fill(4, 0), "side: must be >= 1, got 0"),
     (lambda: PhaseEnsemble.grid_fill(4, -2), "side: must be >= 1, got -2"),
     (lambda: phase_portrait(_HARPER, 3, 3, seed=-1), "seed: must be >= 0, got -1"),
+    (lambda: SiteDistribution(L=1, probs=np.array([1.0])), "L: must be >= 2, got 1"),
 ], ids=["WalkConfig.L", "CoinSpec.M", "PhaseEnsemble.L", "run_time_series.t_max",
         "classical_msd_series.t_max", "classical_msd_series.L", "phase_portrait.n_trajectories",
         "phase_portrait.n_steps", "site_probabilities.t", "trace_site_probabilities.t",
         "twisted_dft.N", "uniform_fill.n_points", "uniform_fill.seed", "grid_fill.side",
-        "phase_portrait.seed",
+        "phase_portrait.seed", "SiteDistribution.L",
         "WalkConfig.L=1", "CoinSpec.M=0", "PhaseEnsemble.L=1", "run_time_series.t_max=0",
         "classical_msd_series.t_max=0", "classical_msd_series.L=1",
         "phase_portrait.n_trajectories=0", "phase_portrait.n_steps=0", "site_probabilities.t=-1",
         "trace_site_probabilities.t=-1", "twisted_dft.N=0", "uniform_fill.n_points=0",
-        "uniform_fill.seed=-1", "grid_fill.side=0", "grid_fill.side=-2", "phase_portrait.seed=-1"])
+        "uniform_fill.seed=-1", "grid_fill.side=0", "grid_fill.side=-2", "phase_portrait.seed=-1",
+        "SiteDistribution.L=1"])
 def test_sizes_must_be_integers(build, message):
     # a float L = 10.5 would step an 11-site ring under the block phases of a 10.5-site one;
     # every size, count and seed is checked by one rule with one text, the CLI's
@@ -561,10 +562,10 @@ def test_light_cone_transform_matches_full_transform(coin, L):
     blocks = build_momentum_blocks(WalkConfig(L=L, coin=coin), coin_matrix(coin))
     sites = np.arange(L)
     outside = np.minimum(sites, L - sites)[None, :] > np.arange(L // 2 + 3)[:, None]
-    stack = _block_stack(blocks)
+    stack = block_stack(blocks)
     psi = np.linalg.matrix_power(stack, 0)
     for t in range(L // 2 + 3):  # psi is E_k^t: one product with the stack per step
-        p = _momentum_site_probs(psi, t=t, L=L)
+        p = momentum_site_probs(psi, t=t, L=L)
         np.testing.assert_allclose(p, full_transform_probs(psi), rtol=0, atol=1e-14)
         assert np.all(p[outside[t]] == 0.0)
         psi = stack @ psi
@@ -573,7 +574,7 @@ def test_light_cone_transform_matches_full_transform(coin, L):
 @pytest.mark.parametrize("M", [2, 32])
 @pytest.mark.parametrize("L, t", [(9, 2), (101, 30), (128, 45), (101, 60)])
 def test_cone_transform_keeps_each_site_apart_from_its_mirror(M, L, t):
-    # coin-averaged walks are mirror symmetric, so only a lopsided bundle tells l from -l;
+    # most coin-averaged walks are mirror symmetric, so a lopsided bundle tells l from -l;
     # this one is random on the sites -t..t (all of them once the cone wraps) and 0 elsewhere
     rng = np.random.default_rng(L + t)
     amps = np.zeros((L, M, M), dtype=complex)
@@ -582,7 +583,7 @@ def test_cone_transform_keeps_each_site_apart_from_its_mirror(M, L, t):
     amps[cone] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2) / M)
     probs = (np.abs(amps) ** 2).reshape(L, -1).sum(axis=1) / M
-    got = _momentum_site_probs(np.fft.fft(amps, axis=0), t=t, L=L)
+    got = momentum_site_probs(np.fft.fft(amps, axis=0), t=t, L=L)
     np.testing.assert_allclose(got, probs, rtol=0, atol=1e-14)
 
 

@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from mapwalk.coins import CoinSpec, coin_in_position_basis, coin_matrix
-from mapwalk.observables import site_probabilities
-from mapwalk.walk import (WalkConfig, build_dense, build_momentum_blocks, _apply_blocks,
-                          _block_stack, momentum_to_site)
+from mapwalk.walk import WalkConfig, build_dense, build_momentum_blocks, _apply_blocks
+from oracles import block_stack, momentum_to_site, site_probabilities
 
 TOL = 1e-10
 
 ALL_COINS = [
     CoinSpec("dft", 2), CoinSpec("dft", 4),
     CoinSpec("harper", 2, g=2.0, phi=0.2), CoinSpec("harper", 4, g=0.5),
-    CoinSpec("baker", 2), CoinSpec("baker", 4),
+    CoinSpec("baker", 2), CoinSpec("baker", 4), CoinSpec("baker", 4, phi=0.1),
 ]
 
 
@@ -38,12 +37,12 @@ def momentum_column(L, M, coin):
 
 def step_column(blocks, psi, steps):
     """The columns psi (L, M, 1) after ``steps`` steps: E_k^steps times column k."""
-    return np.linalg.matrix_power(_block_stack(blocks), steps) @ psi
+    return np.linalg.matrix_power(block_stack(blocks), steps) @ psi
 
 
 def block(blocks, k):
     """E_k = D_k U, the block the factored set stands for."""
-    return _block_stack(blocks)[k]
+    return block_stack(blocks)[k]
 
 
 def test_dense_single_step_hand_computed():
@@ -106,7 +105,7 @@ def test_block_phases_are_exact_at_k0_and_unimodular():
     for L, M in [(2, 2), (9, 4), (400, 64)]:
         config = WalkConfig(L=L, coin=CoinSpec("dft", M))
         blocks = build_momentum_blocks(config, coin_matrix(config.coin))
-        stack = _block_stack(blocks)
+        stack = block_stack(blocks)
         assert stack.shape == blocks.shape == (L, M, M)
         assert np.array_equal(stack[0], blocks.coin)
         # each row of E_k is the row of U times a phase of modulus 1
@@ -133,7 +132,7 @@ def test_apply_blocks_matches_stacked_product(kind, M):
         F = np.kron(np.exp(2j * np.pi * np.outer(np.arange(L), np.arange(L)) / L) / np.sqrt(L),
                     np.eye(M))
         got = (F.conj().T @ build_dense(config, U) @ F).reshape(L, M, L, M)
-        stack = _block_stack(build_momentum_blocks(config, U))
+        stack = block_stack(build_momentum_blocks(config, U))
         want = np.zeros((L, M, L, M), dtype=complex)
         want[np.arange(L), :, np.arange(L), :] = stack
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -141,7 +140,7 @@ def test_apply_blocks_matches_stacked_product(kind, M):
 
 @pytest.mark.parametrize("coin", ALL_COINS)
 def test_window_step_matches_dense_amplitudes(coin):
-    # amplitude by amplitude, since the coin average of a walk is mirror symmetric: row j of
+    # amplitude by amplitude, since the coin average of most walks is mirror symmetric: row j of
     # the window at time t is the site -t + 2j mod L, with the starts b in rows and the coin in
     # columns; past the wrap the window keeps R = L // gcd(L, 2) rows, on even and odd rings
     M = coin.M
@@ -183,7 +182,7 @@ def test_evolve_zero_steps_is_identity():
     # gives the site amplitudes
     config = WalkConfig(L=6, coin=CoinSpec("dft", 4))
     blocks = build_momentum_blocks(config, coin_matrix(config.coin))
-    start = np.linalg.matrix_power(_block_stack(blocks), 0)
+    start = np.linalg.matrix_power(block_stack(blocks), 0)
     np.testing.assert_array_equal(start, np.broadcast_to(np.eye(4), (6, 4, 4)))
     expected = np.zeros((6, 4, 4))
     expected[0] = np.eye(4)
